@@ -30,10 +30,11 @@
 //! reproduce throughput --engine lockstep --grid 1x1
 //! ```
 //!
-//! `--engine {lockstep,fastforward,parallel}` pins the engine (default:
-//! the full sweep over every engine), `--threads N` sets the parallel
-//! engine's host thread count (0 = one per host CPU), and `--grid WxH`
-//! sizes the measured machine in slices for the pinned-engine run.
+//! `--engine {lockstep,parallel}` pins the engine (default: the full
+//! sweep over lock-step and the parallel engine at 1, 2, 4 and 8
+//! threads), `--threads N` sets the parallel engine's host thread count
+//! (0 = one per host CPU), and `--grid WxH` sizes the measured machine in
+//! slices for the pinned-engine run.
 //!
 //! The observability layer is exercised with `--trace` / `--metrics`,
 //! and deterministic faults are injected with `--faults`:
@@ -152,10 +153,9 @@ fn parse_engine_override(args: &mut Vec<String>) -> EngineOverride {
         .unwrap_or(0);
     let engine = take("--engine").map(|name| match name.as_str() {
         "lockstep" => EngineMode::LockStep,
-        "fastforward" => EngineMode::FastForward,
         "parallel" => EngineMode::Parallel { threads },
         other => die(&format!(
-            "unknown engine `{other}`; known: lockstep fastforward parallel"
+            "unknown engine `{other}`; known: lockstep parallel"
         )),
     });
     let grid = take("--grid")
@@ -235,7 +235,7 @@ fn run_observability(overrides: &EngineOverride) {
             system
         }
         None => {
-            let engine = overrides.engine.unwrap_or(EngineMode::FastForward);
+            let engine = overrides.engine.unwrap_or_default();
             let (w, h) = overrides.grid;
             let mut builder = SystemBuilder::new().slices(w, h).engine(engine).metrics();
             if overrides.trace.is_some() {

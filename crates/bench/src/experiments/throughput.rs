@@ -3,18 +3,17 @@
 //! Not a paper artefact — this measures the simulator itself. Three
 //! scenarios bracket the workload spectrum:
 //!
-//! * **busy slice** — 16 cores all running the calibrated heavy mix; the
-//!   fast-forward engine finds activity at every tick and must degrade
-//!   to lock-step speed (the acceptance bound is ≤5 % regression), while
-//!   the parallel engine shards the compute-bound cores across host
-//!   threads and scales with the host's core count.
+//! * **busy slice** — 16 cores all running the calibrated heavy mix;
+//!   the parallel engine runs every core through whole monitor windows
+//!   between serial instants and shards the compute-bound cores across
+//!   host threads.
 //! * **idle 480** — a full 6×5-slice machine with nothing loaded; every
-//!   core tick is provably idle, so fast-forward jumps monitor window to
-//!   monitor window and charges the energy analytically (the parallel
-//!   engine detects the idle machine and takes the same path).
+//!   core tick is provably idle, so the parallel engine's quiet path
+//!   jumps monitor window to monitor window and charges the energy
+//!   analytically.
 //! * **10 % active 480** — 48 of 480 cores run the heavy mix; the busy
-//!   cores bound each jump to one base period, but the idle 90 % of the
-//!   machine is still skipped analytically inside each step.
+//!   cores run through windows while the idle 90 % of the machine is
+//!   skipped analytically.
 //!
 //! Reported per engine (and per thread count for the parallel engine):
 //! host wall-clock, simulated core-cycles per host second, and simulated
@@ -40,11 +39,6 @@ pub struct ThroughputRow {
     pub scenario: &'static str,
     /// Which engine ran it.
     pub engine: EngineMode,
-    /// Epoch-synchronisation strategy the run used: `"negotiated"` or
-    /// `"global"` for the parallel engine, `"-"` for the serial engines.
-    /// Recorded so a JSON row is interpretable without knowing the
-    /// producing build's `SWALLOW_EPOCH_MODE`.
-    pub epoch_mode: &'static str,
     /// Whether the predecoded-instruction cache was on.
     pub decode_cache: bool,
     /// Host wall-clock for the run (milliseconds).
@@ -60,16 +54,15 @@ impl ThroughputRow {
     pub fn engine_name(&self) -> &'static str {
         match self.engine {
             EngineMode::LockStep => "lockstep",
-            EngineMode::FastForward => "fastforward",
             EngineMode::Parallel { .. } => "parallel",
         }
     }
 
-    /// Host worker threads (0 for the serial engines).
+    /// Host worker threads (0 for lock-step).
     pub fn threads(&self) -> usize {
         match self.engine {
             EngineMode::Parallel { threads } => threads,
-            _ => 0,
+            EngineMode::LockStep => 0,
         }
     }
 }
@@ -88,24 +81,17 @@ impl Throughput {
             .find(|r| r.scenario == scenario && r.engine == engine)
     }
 
-    /// Fast-forward speedup over lock-step (host time ratio).
-    pub fn speedup(&self, scenario: &str) -> Option<f64> {
+    /// Parallel speedup over lock-step (host time ratio) at one thread
+    /// count.
+    pub fn speedup(&self, scenario: &str, threads: usize) -> Option<f64> {
         let ls = self.find(scenario, EngineMode::LockStep)?;
-        let ff = self.find(scenario, EngineMode::FastForward)?;
-        Some(ls.host_ms / ff.host_ms)
-    }
-
-    /// Parallel speedup over fast-forward (host time ratio) at one
-    /// thread count.
-    pub fn parallel_speedup(&self, scenario: &str, threads: usize) -> Option<f64> {
-        let ff = self.find(scenario, EngineMode::FastForward)?;
         let par = self.find(scenario, EngineMode::Parallel { threads })?;
-        Some(ff.host_ms / par.host_ms)
+        Some(ls.host_ms / par.host_ms)
     }
 
     /// Serialises the rows as the `BENCH_throughput.json` schema:
     /// `{"experiment": "throughput", "host_parallelism": N, "rows":
-    /// [{scenario, engine, threads, epoch_mode, decode_cache, host_ms,
+    /// [{scenario, engine, threads, decode_cache, host_ms,
     /// sim_cycles_per_sec, mips}, ...]}`. `host_parallelism` is the
     /// producing host's `std::thread::available_parallelism` — without it
     /// a flat thread-scaling curve is indistinguishable from a scaling
@@ -120,12 +106,11 @@ impl Throughput {
             let sep = if i + 1 < self.rows.len() { "," } else { "" };
             out.push_str(&format!(
                 "    {{\"scenario\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \
-                 \"epoch_mode\": \"{}\", \"decode_cache\": {}, \"host_ms\": {:.6}, \
+                 \"decode_cache\": {}, \"host_ms\": {:.6}, \
                  \"sim_cycles_per_sec\": {:.3}, \"mips\": {:.6}}}{sep}\n",
                 r.scenario,
                 r.engine_name(),
                 r.threads(),
-                r.epoch_mode,
                 r.decode_cache,
                 r.host_ms,
                 r.sim_cycles_per_sec,
@@ -155,17 +140,16 @@ impl fmt::Display for Throughput {
         )?;
         writeln!(
             f,
-            "  {:<16} {:<12} {:>8} {:>11} {:>6} {:>10} {:>16} {:>10}",
-            "scenario", "engine", "threads", "sync", "cache", "host ms", "sim cycles/s", "sim MIPS"
+            "  {:<16} {:<12} {:>8} {:>6} {:>10} {:>16} {:>10}",
+            "scenario", "engine", "threads", "cache", "host ms", "sim cycles/s", "sim MIPS"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "  {:<16} {:<12} {:>8} {:>11} {:>6} {:>10.2} {:>16.3e} {:>10.1}",
+                "  {:<16} {:<12} {:>8} {:>6} {:>10.2} {:>16.3e} {:>10.1}",
                 r.scenario,
                 r.engine_name(),
                 r.threads(),
-                r.epoch_mode,
                 if r.decode_cache { "on" } else { "off" },
                 r.host_ms,
                 r.sim_cycles_per_sec,
@@ -173,15 +157,9 @@ impl fmt::Display for Throughput {
             )?;
         }
         for scenario in ["busy-slice", "idle-480", "active10-480"] {
-            if let Some(s) = self.speedup(scenario) {
-                writeln!(f, "  fast-forward speedup, {scenario}: {s:.1}x")?;
-            }
             for threads in DEFAULT_THREAD_COUNTS {
-                if let Some(s) = self.parallel_speedup(scenario, threads) {
-                    writeln!(
-                        f,
-                        "  parallel({threads}) vs fast-forward, {scenario}: {s:.1}x"
-                    )?;
+                if let Some(s) = self.speedup(scenario, threads) {
+                    writeln!(f, "  parallel({threads}) speedup, {scenario}: {s:.1}x")?;
                 }
             }
         }
@@ -251,17 +229,9 @@ pub fn measure_with_cache(
     let host = t0.elapsed().as_secs_f64().max(1e-9);
     let machine = system.machine();
     let cycles: u64 = machine.nodes().map(|n| machine.core(n).cycles()).sum();
-    let epoch_mode = match engine {
-        EngineMode::Parallel { .. } => match machine.epoch_mode() {
-            swallow::EpochMode::Negotiated => "negotiated",
-            swallow::EpochMode::Global => "global",
-        },
-        _ => "-",
-    };
     ThroughputRow {
         scenario,
         engine,
-        epoch_mode,
         decode_cache,
         host_ms: host * 1e3,
         sim_cycles_per_sec: cycles as f64 / host,
@@ -281,11 +251,10 @@ pub fn run_with(span: TimeDelta, thread_counts: &[usize]) -> Throughput {
         ("idle-480", (6, 5), 0),
         ("active10-480", (6, 5), 10),
     ] {
-        for engine in [EngineMode::LockStep, EngineMode::FastForward] {
-            rows.push(measure(scenario, engine, slices, stride, span));
-        }
-        for &threads in thread_counts {
-            let engine = EngineMode::Parallel { threads };
+        let parallel = thread_counts
+            .iter()
+            .map(|&threads| EngineMode::Parallel { threads });
+        for engine in std::iter::once(EngineMode::LockStep).chain(parallel) {
             rows.push(measure(scenario, engine, slices, stride, span));
         }
     }
@@ -293,7 +262,7 @@ pub fn run_with(span: TimeDelta, thread_counts: &[usize]) -> Throughput {
     // busy-slice delta quantifies what the predecoded-instruction cache
     // buys (results are bit-identical either way; see the differential
     // suites).
-    for engine in [EngineMode::LockStep, EngineMode::FastForward] {
+    for engine in [EngineMode::LockStep, EngineMode::default()] {
         rows.push(measure_with_cache(
             "busy-slice-nocache",
             engine,
@@ -318,13 +287,13 @@ mod tests {
     #[test]
     fn rows_and_speedups_are_well_formed() {
         let t = run_with(TimeDelta::from_us(2), &[2]);
-        assert_eq!(t.rows.len(), 11);
+        assert_eq!(t.rows.len(), 8);
         for r in &t.rows {
             assert!(r.host_ms > 0.0);
             assert!(r.sim_cycles_per_sec > 0.0, "{r:?}");
         }
-        assert!(t.speedup("idle-480").expect("measured") > 0.0);
-        assert!(t.parallel_speedup("busy-slice", 2).expect("measured") > 0.0);
+        assert!(t.speedup("idle-480", 2).expect("measured") > 0.0);
+        assert!(t.speedup("busy-slice", 2).expect("measured") > 0.0);
         assert!(t
             .rows
             .iter()
@@ -335,13 +304,11 @@ mod tests {
         assert!(rendered.contains("parallel(2)"));
     }
 
-    /// Guards the busy-slice inversion fixed in this PR: fast-forward
-    /// must not regress materially below lock-step on a machine where
-    /// every tick has activity (the dense-mode hint makes its advance
-    /// identical to a lock-step edge). Min-of-3 on both sides and a
-    /// lenient 1.3x bound keep this stable on noisy CI hosts.
+    /// The default engine must not regress materially below lock-step
+    /// on a machine where every tick has activity. Min-of-3 on both
+    /// sides and a lenient 1.3x bound keep this stable on noisy CI hosts.
     #[test]
-    fn fastforward_keeps_up_with_lockstep_when_busy() {
+    fn default_engine_keeps_up_with_lockstep_when_busy() {
         let span = TimeDelta::from_us(4);
         let best = |engine: EngineMode| {
             (0..3)
@@ -349,10 +316,10 @@ mod tests {
                 .fold(f64::INFINITY, f64::min)
         };
         let ls = best(EngineMode::LockStep);
-        let ff = best(EngineMode::FastForward);
+        let default = best(EngineMode::default());
         assert!(
-            ff <= ls * 1.3,
-            "fast-forward ({ff:.2} ms) regressed past lock-step ({ls:.2} ms) on a busy machine"
+            default <= ls * 1.3,
+            "the default engine ({default:.2} ms) regressed past lock-step ({ls:.2} ms) on a busy machine"
         );
     }
 
@@ -399,21 +366,12 @@ mod tests {
         let t = run_with(TimeDelta::from_us(1), &[2]);
         let json = t.to_json();
         assert_eq!(json.matches("\"scenario\"").count(), t.rows.len());
-        // Parallel rows carry the process-default sync strategy (the CI
-        // global-mode leg flips it via SWALLOW_EPOCH_MODE).
-        let par_mode = match swallow::board::epoch_mode_default() {
-            swallow::EpochMode::Negotiated => "\"epoch_mode\": \"negotiated\"",
-            swallow::EpochMode::Global => "\"epoch_mode\": \"global\"",
-        };
         for field in [
             "\"experiment\": \"throughput\"",
             "\"host_parallelism\":",
             "\"engine\": \"lockstep\"",
-            "\"engine\": \"fastforward\"",
             "\"engine\": \"parallel\"",
             "\"threads\": 2",
-            par_mode,
-            "\"epoch_mode\": \"-\"",
             "\"host_ms\":",
             "\"sim_cycles_per_sec\":",
             "\"mips\":",

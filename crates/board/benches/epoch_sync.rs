@@ -1,26 +1,23 @@
-//! Epoch-synchronisation cost of the parallel engine: the
-//! barrier-per-epoch global clock (`EpochMode::Global`, the PR 2 design)
-//! vs the pairwise watermark negotiation (`EpochMode::Negotiated`),
-//! swept over host thread counts on a compute-bound slice.
+//! Synchronisation cost of the parallel engine's pairwise watermark
+//! negotiation, swept over host thread counts on a compute-bound slice.
 //!
 //! The workload is the shape the negotiation exists for: every core
-//! spinning, no communication, so the global mode pays one pool
-//! dispatch + condvar round-trip per 32 ns epoch while the negotiated
-//! mode pays one per ~1 µs monitor window and synchronises through
-//! lock-free round slots in between. On a single-CPU host the absolute
-//! numbers compress (workers time-slice), but the dispatch-count gap —
-//! what this bench measures — survives.
+//! spinning, no communication, so shards pay one pool dispatch per
+//! ~1 µs monitor window and synchronise through lock-free round slots in
+//! between. On a single-CPU host the absolute numbers compress (workers
+//! time-slice), so read the sweep for its shape, not its scaling.
 
-use swallow_board::{EngineMode, EpochMode, Machine, MachineConfig};
+use swallow_board::{EngineMode, Machine, MachineConfig};
 use swallow_isa::Assembler;
 use swallow_sim::TimeDelta;
 use swallow_testkit::criterion::{criterion_group, criterion_main, Criterion};
 
-/// Simulated span per timed sample: several monitor windows, so both
-/// modes cross their serial boundaries a representative number of times.
+/// Simulated span per timed sample: several monitor windows, so every
+/// thread count crosses its serial boundaries a representative number of
+/// times.
 const SPAN_US: u64 = 5;
 
-fn busy_machine(threads: usize, mode: EpochMode) -> Machine {
+fn busy_machine(threads: usize) -> Machine {
     let program = Assembler::new()
         .assemble(
             "
@@ -32,7 +29,6 @@ fn busy_machine(threads: usize, mode: EpochMode) -> Machine {
         .expect("spin assembles");
     let mut machine = Machine::new(MachineConfig {
         engine: EngineMode::Parallel { threads },
-        epoch_mode: mode,
         ..MachineConfig::one_slice()
     });
     machine.load_program_all(&program).expect("fits");
@@ -43,18 +39,13 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("epoch_sync");
     g.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        for (name, mode) in [
-            ("global", EpochMode::Global),
-            ("negotiated", EpochMode::Negotiated),
-        ] {
-            g.bench_function(&format!("{name}/{threads}"), |b| {
-                b.iter(|| {
-                    let mut machine = busy_machine(threads, mode);
-                    machine.run_for(TimeDelta::from_us(SPAN_US));
-                    machine.total_instret()
-                })
-            });
-        }
+        g.bench_function(&format!("negotiated/{threads}"), |b| {
+            b.iter(|| {
+                let mut machine = busy_machine(threads);
+                machine.run_for(TimeDelta::from_us(SPAN_US));
+                machine.total_instret()
+            })
+        });
     }
     g.finish();
 }

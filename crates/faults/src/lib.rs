@@ -24,11 +24,6 @@ mod plan;
 
 pub use plan::{FaultEvent, FaultKind, FaultPlan, RandomFaults};
 
-/// Re-exported for compatibility: the deterministic generator began life
-/// in this crate and moved down to `swallow-sim` so substrate layers can
-/// use it without depending on fault machinery.
-pub use swallow_sim::DetRng;
-
 /// Cumulative counts of injected faults and the recovery work they
 /// triggered. Filled in by the fabric (retries, drops, deliveries) and
 /// the machine's fault engine (everything else); exposed through

@@ -350,35 +350,19 @@ impl Fabric {
         self.in_network
     }
 
-    /// The conservative-PDES lookahead of this fabric: the minimum time a
-    /// token injected at any switch needs before it can land at *another*
-    /// node. A token's wire time is `3·Ts + Tt` link-clock cycles per hop
-    /// (§V.C), so this is the fastest link's token time — any event one
-    /// node causes at another is at least this far in its future, which is
-    /// what lets the parallel engine advance disjoint shards independently
-    /// for an epoch of this length.
-    ///
-    /// The core-local loopback path (≈6 ns) is deliberately excluded: a
-    /// loopback token can only reach the node that sent it, so it never
-    /// crosses a shard boundary (shards are whole nodes or coarser). The
-    /// engine handles it by reconciling the sending core itself.
-    ///
-    /// Returns `None` for a fabric with no links (single isolated node).
-    pub fn min_cross_shard_latency(&self) -> Option<TimeDelta> {
-        self.links.iter().map(|l| l.params.token_time).min()
-    }
-
     /// All-pairs minimum routed token latency between switches, in
     /// picoseconds: entry `i * node_count + j` is the smallest sum of
     /// per-hop token times over any path of *live* (not-down) links from
     /// `i` to `j`, `0` on the diagonal and `u64::MAX` when no live path
-    /// exists. This refines [`Fabric::min_cross_shard_latency`] per pair:
-    /// a token leaving `i` cannot land at `j` earlier than `dist(i, j)`
-    /// after its emission, whatever route the router picks, because every
-    /// hop costs at least its link's token time and forwarding only adds
-    /// delay. Off-board FFC hops (4× the on-chip token time, Table I)
-    /// therefore give distant pairs far longer conservative horizons than
-    /// the single global minimum.
+    /// exists. This is the parallel engine's conservative lookahead per
+    /// pair: a token leaving `i` cannot land at `j` earlier than
+    /// `dist(i, j)` after its emission, whatever route the router picks,
+    /// because every hop costs at least its link's token time (`3·Ts +
+    /// Tt` link-clock cycles, §V.C) and forwarding only adds delay.
+    /// Off-board FFC hops (4× the on-chip token time, Table I) therefore
+    /// give distant pairs far longer conservative horizons than the
+    /// fastest wire alone would. The core-local loopback path never
+    /// leaves its node, so it never bounds a cross-node entry.
     ///
     /// The matrix is a property of the live topology only — it must be
     /// recomputed whenever a link goes down or comes back up (fault

@@ -66,21 +66,6 @@ fn single_word_crosses_one_link() {
 }
 
 #[test]
-fn min_cross_shard_latency_is_the_token_time() {
-    // The parallel engine's lookahead: a token needs 3·Ts + Tt = 8
-    // link-clock cycles per hop (§V.C) — 32 ns on the 250 MHz on-chip
-    // class, the fastest wire in the machine. Loopback is core-local and
-    // deliberately excluded.
-    let (fabric, _) = two_nodes(2);
-    assert_eq!(
-        fabric.min_cross_shard_latency(),
-        Some(TimeDelta::from_ns(32))
-    );
-    let empty = FabricBuilder::new(1).build(Box::new(TableRouter::shortest_paths(1, &[])));
-    assert_eq!(empty.min_cross_shard_latency(), None);
-}
-
-#[test]
 fn packet_overhead_approaches_paper_figure() {
     // "The overhead of packet data reduces throughput to approximately
     // 87% of the link speed, but is dependent upon the packet size."

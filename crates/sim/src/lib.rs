@@ -6,7 +6,7 @@
 //!
 //! * [`Time`], [`TimeDelta`] — picosecond-resolution simulated time,
 //! * [`Frequency`] — clock rates and cycle/time conversion,
-//! * [`EventQueue`] — a deterministic time-ordered event queue,
+//! * [`kway_merge_by`] — a stable k-way merge of sorted streams,
 //! * [`DetRng`] — a seedable, reproducible random number generator,
 //! * [`codec`] — bounds-checked binary readers/writers ([`ByteWriter`],
 //!   [`ByteReader`], [`CodecError`]) underpinning machine snapshots,
@@ -18,20 +18,21 @@
 //! Determinism is a design requirement, not an accident: the platform being
 //! modelled (Swallow, DATE 2016) is a *time-deterministic* real-time system,
 //! and the reproduction must be able to assert exact cycle counts in tests.
-//! Events scheduled for the same instant are delivered in insertion order.
 //!
 //! ```
-//! use swallow_sim::{EventQueue, Time, TimeDelta};
+//! use swallow_sim::{DetRng, Frequency, Time, TimeDelta};
 //!
-//! let mut queue = EventQueue::new();
-//! queue.push_at(Time::ZERO + TimeDelta::from_ns(5), "later");
-//! queue.push_at(Time::ZERO, "now");
-//! assert_eq!(queue.pop(), Some((Time::ZERO, "now")));
+//! // 500 MHz: a 2 ns period, so 1 µs is exactly 500 cycles.
+//! let clock = Frequency::from_mhz(500);
+//! assert_eq!(clock.period(), TimeDelta::from_ns(2));
+//! assert_eq!(clock.cycles_in(TimeDelta::from_us(1)), 500);
+//! assert_eq!(Time::ZERO + clock.cycles(3), Time::from_ps(6_000));
+//! // The same seed replays the same stream.
+//! assert_eq!(DetRng::seed_from(42).next_u64(), DetRng::seed_from(42).next_u64());
 //! ```
 
 pub mod codec;
 pub mod merge;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -39,7 +40,6 @@ pub mod trace;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use merge::kway_merge_by;
-pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use stats::LatencySketch;
 pub use time::{Frequency, Time, TimeDelta};

@@ -1,36 +1,11 @@
-//! Property tests of the simulation kernel: queue ordering, time
-//! arithmetic and statistics invariants under arbitrary inputs.
+//! Property tests of the simulation kernel: time arithmetic, merging and
+//! statistics invariants under arbitrary inputs.
 
 use swallow_sim::stats::{Histogram, LatencySketch, LinearFit, MeanVar};
-use swallow_sim::{kway_merge_by, DetRng, EventQueue, Frequency, Time, TimeDelta};
+use swallow_sim::{kway_merge_by, DetRng, Frequency, Time, TimeDelta};
 use swallow_testkit::proptest::prelude::*;
 
 proptest! {
-    /// Pops are globally ordered by time, FIFO within a timestamp.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(
-        times in proptest::collection::vec(0u64..50, 1..200)
-    ) {
-        let mut q = EventQueue::new();
-        for (seq, &t) in times.iter().enumerate() {
-            q.push_at(Time::from_ps(t), seq);
-        }
-        let mut last: Option<(Time, usize)> = None;
-        let mut count = 0;
-        while let Some((at, seq)) = q.pop() {
-            if let Some((lt, lseq)) = last {
-                prop_assert!(at >= lt);
-                if at == lt {
-                    prop_assert!(seq > lseq, "FIFO violated at {at}");
-                }
-            }
-            prop_assert_eq!(Time::from_ps(times[seq]).max(Time::ZERO), at);
-            last = Some((at, seq));
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
     /// Period/cycle conversions are consistent for any frequency.
     #[test]
     fn frequency_cycle_round_trip(mhz in 1u64..2000, cycles in 0u64..100_000) {

@@ -644,9 +644,9 @@ impl Core {
     }
 
     /// The instant this core has been simulated to (its local clock). All
-    /// cores agree with the machine clock under the serial engines; under
-    /// the parallel engine a core may be ahead of the machine clock (up to
-    /// one conservative epoch) or behind it (stopped early on output).
+    /// cores agree with the machine clock under lock-step; under the
+    /// parallel engine a core may be ahead of the machine clock (up to one
+    /// negotiated window) or behind it (stopped early on output).
     pub fn local_now(&self) -> Time {
         self.now
     }

@@ -1,23 +1,24 @@
-//! Differential tests: the event-driven fast-forward engine and the
-//! parallel conservative-epoch engine must both be observationally
+//! Differential tests: the parallel engine must be observationally
 //! identical to the cycle-by-cycle lock-step reference.
 //!
-//! Every engine processes exactly the same grid-aligned instants at which
+//! Both engines process exactly the same grid-aligned instants at which
 //! anything can happen (core ticks, wake-ups, fabric hops, bridge pacing,
-//! monitor updates); fast-forward merely skips the provably idle instants
-//! in between and charges their energy analytically, and the parallel
-//! engine additionally batches independent spans onto host threads. These
-//! tests pin that equivalence down for representative workloads:
-//! identical retired instruction counts, identical final simulated time,
-//! identical program outputs, and energy ledgers equal to within
+//! monitor updates); the parallel engine merely skips the provably idle
+//! instants in between, charging their energy analytically, and batches
+//! independent spans into windows on host threads. These tests pin that
+//! equivalence down for representative workloads: identical retired
+//! instruction counts, identical final simulated time, identical program
+//! outputs, and energy ledgers equal to within
 //! floating-point association error (the only permitted difference: `n`
 //! idle-tick charges summed one by one versus multiplied out in one shot,
 //! or grouped per shard). The parallel engine is additionally required to
 //! be *bit-identical* across repeated runs at every tested thread count.
 //!
-//! Set `SWALLOW_ENGINE` (`lockstep` | `fastforward` | `parallel`, with
-//! `SWALLOW_THREADS` for the latter) to pin the suite to one engine — the
-//! CI matrix uses this to get a dedicated parallel leg.
+//! Set `SWALLOW_ENGINE` (`lockstep` | `parallel`, with `SWALLOW_THREADS`
+//! for the latter) to pin the suite to one engine — the CI matrix uses
+//! this to get a dedicated parallel leg.
+
+mod common;
 
 use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::{
@@ -90,26 +91,6 @@ fn assert_equivalent(engine: EngineMode, got: &Fingerprint, ls: &Fingerprint) {
     }
 }
 
-/// The engines every scenario runs under (and compares with lock-step).
-/// `SWALLOW_ENGINE` / `SWALLOW_THREADS` pin the list to one engine.
-fn engines_under_test() -> Vec<EngineMode> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return vec![match name.as_str() {
-            "lockstep" => EngineMode::LockStep,
-            "fastforward" => EngineMode::FastForward,
-            "parallel" => EngineMode::Parallel { threads },
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        }];
-    }
-    let mut engines = vec![EngineMode::FastForward];
-    engines.extend(PARALLEL_THREADS.map(|threads| EngineMode::Parallel { threads }));
-    engines
-}
-
 /// Runs the same setup under lock-step and every engine under test,
 /// checking each fingerprint against the reference. Parallel engines run
 /// twice and must be bit-identical across runs. Returns the first
@@ -127,8 +108,12 @@ fn run_differential_with(
     };
     let ls = run(EngineMode::LockStep);
     let mut first = None;
-    for engine in engines_under_test() {
-        let fp = run(engine);
+    for engine in common::engines_under_test(&PARALLEL_THREADS) {
+        let fp = if engine == EngineMode::LockStep {
+            ls.clone()
+        } else {
+            run(engine)
+        };
         assert_equivalent(engine, &fp, &ls);
         if matches!(engine, EngineMode::Parallel { .. }) {
             let again = run(engine);
@@ -188,7 +173,8 @@ fn farm_runs_identically_under_both_engines() {
 #[test]
 fn ping_pong_runs_identically_under_both_engines() {
     // Request/reply round trips: latency-bound, so almost all simulated
-    // time is idle — the regime where fast-forward does the most work.
+    // time is idle — the regime where the parallel engine's fast-forward
+    // quiet path does the most work.
     let spec = client_server::ServiceSpec {
         clients: 2,
         requests_per_client: 8,
@@ -210,9 +196,9 @@ fn ping_pong_runs_identically_under_both_engines() {
 
 #[test]
 fn long_timer_sleeps_fast_forward_to_the_same_instant() {
-    // Sleeps far longer than any workload message gap: the fast-forward
-    // engine jumps hundreds of thousands of ticks at once here, yet must
-    // land on exactly the wake instants the lock-step engine reaches.
+    // Sleeps far longer than any workload message gap: the parallel
+    // engine's quiet path jumps hundreds of thousands of ticks at once
+    // here, yet must land on exactly the wake instants lock-step reaches.
     let (ff, _) = run_differential(TimeDelta::from_ms(10), |system| {
         for (node, ticks) in [(0u16, 50_000u32), (7, 63_456), (15, 65_001)] {
             let program = Assembler::new()
@@ -249,7 +235,7 @@ fn idle_machine_burns_identical_energy() {
     };
     let ls = run(EngineMode::LockStep);
     let mut total = 0.0;
-    for engine in engines_under_test() {
+    for engine in common::engines_under_test(&PARALLEL_THREADS) {
         let fp = run(engine);
         assert_equivalent(engine, &fp, &ls);
         total = fp.energy.iter().map(|(_, j)| j).sum::<f64>();
@@ -261,7 +247,7 @@ fn idle_machine_burns_identical_energy() {
 fn parallel_agrees_on_shortest_paths_routing() {
     // Same pipeline, but routed breadth-first instead of vertical-first:
     // different hop counts and link orderings must not perturb the
-    // conservative epoch horizon or the reconciliation order.
+    // negotiated horizons or the reconciliation order.
     let spec = pipeline::PipelineSpec {
         stages: 6,
         items: 16,
@@ -288,7 +274,7 @@ proptest! {
     })]
 
     /// Random wake schedules: cores sleep for arbitrary spans and then
-    /// must all wake — fast-forward may never jump past a wake instant,
+    /// must all wake — the quiet path may never jump past a wake instant,
     /// and has to agree with lock-step on when each wake happened.
     #[test]
     fn fast_forward_never_skips_a_wake(

@@ -1,14 +1,16 @@
 //! Differential tests for the fault-injection subsystem: a scheduled
 //! fault plan must produce the *same* fault timeline, program outputs,
 //! resilience counters and (within f64 association) energy under every
-//! engine — lock-step, fast-forward and parallel at several thread
-//! counts — and an empty plan must perturb nothing at all.
+//! engine — lock-step and parallel at several thread counts — and an
+//! empty plan must perturb nothing at all.
 //!
 //! Faults are applied serially at grid instants before any core runs
 //! (DESIGN.md §3.10); these tests pin that engine-invariance down, plus
 //! the recovery behaviours: retry under corruption, reroute + sticky
 //! rebind around a dead link, quarantine of partitioned cores, and
 //! energy conservation with retransmit energy included.
+
+mod common;
 
 use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::noc::{Direction, LinkId};
@@ -85,26 +87,6 @@ fn assert_equivalent(engine: EngineMode, got: &Fingerprint, ls: &Fingerprint) {
     }
 }
 
-/// Engines under test, honouring the CI matrix's `SWALLOW_ENGINE` /
-/// `SWALLOW_THREADS` pinning.
-fn engines_under_test() -> Vec<EngineMode> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return vec![match name.as_str() {
-            "lockstep" => EngineMode::LockStep,
-            "fastforward" => EngineMode::FastForward,
-            "parallel" => EngineMode::Parallel { threads },
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        }];
-    }
-    let mut engines = vec![EngineMode::FastForward];
-    engines.extend(PARALLEL_THREADS.map(|threads| EngineMode::Parallel { threads }));
-    engines
-}
-
 /// Runs the same faulted setup under lock-step and every engine under
 /// test; parallel engines run twice and must be bit-identical.
 fn run_differential(
@@ -120,8 +102,12 @@ fn run_differential(
     };
     let ls = run(EngineMode::LockStep);
     let mut first = None;
-    for engine in engines_under_test() {
-        let fp = run(engine);
+    for engine in common::engines_under_test(&PARALLEL_THREADS) {
+        let fp = if engine == EngineMode::LockStep {
+            ls.clone()
+        } else {
+            run(engine)
+        };
         assert_equivalent(engine, &fp, &ls);
         if matches!(engine, EngineMode::Parallel { .. }) {
             let again = run(engine);
@@ -360,9 +346,7 @@ fn energy_conservation_holds_with_faults_under_every_engine() {
         .link_down(t(2), hop01)
         .corrupt_window(t(5), hop23, TimeDelta::from_us(2))
         .brownout(t(12), 600, TimeDelta::from_us(3));
-    let mut engines = vec![EngineMode::LockStep];
-    engines.extend(engines_under_test());
-    for engine in engines {
+    for engine in common::engines_under_test(&PARALLEL_THREADS) {
         let mut system = SystemBuilder::new()
             .faults(plan.clone())
             .metrics()

@@ -14,22 +14,33 @@
 //! the fault engine's cursor, the derated frequencies and the fabric's
 //! per-link fault windows all have to survive the round trip.
 //!
+//! Images written by builds that still had a separate fast-forward
+//! engine or the global epoch barrier must restore onto the surviving
+//! engine and continue to the lock-step result.
+//!
 //! `SWALLOW_ENGINE` / `SWALLOW_THREADS` pin the restore targets to one
 //! engine, matching the CI matrix legs.
+
+mod common;
 
 use std::sync::OnceLock;
 
 use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::noc::{Direction, LinkId};
+use swallow_repro::swallow::sim::codec::fnv1a64;
 use swallow_repro::swallow::{
-    Assembler, EngineMode, EpochMode, FaultCounters, FaultPlan, NodeId, SwallowSystem,
-    SystemBuilder, Time, TimeDelta,
+    Assembler, EngineMode, FaultCounters, FaultPlan, NodeId, SwallowSystem, SystemBuilder, Time,
+    TimeDelta,
 };
 use swallow_repro::swallow_workloads::{farm, pipeline};
 use swallow_testkit::proptest::prelude::*;
 
 /// Relative energy tolerance between engines (f64 association only).
 const ENERGY_RTOL: f64 = 1e-9;
+
+/// Thread counts every checkpoint is restored under on the parallel
+/// engine.
+const PARALLEL_THREADS: [usize; 2] = [1, 4];
 
 /// Everything observable about a finished continuation. `PartialEq`
 /// compares energy bit-for-bit (used for same-engine determinism).
@@ -62,14 +73,8 @@ fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
     }
 }
 
-fn assert_continuation(
-    at_us: u64,
-    engine: EngineMode,
-    epoch: Option<EpochMode>,
-    got: &Fingerprint,
-    reference: &Fingerprint,
-) {
-    let who = format!("restore@{at_us}µs under {engine:?}/{epoch:?}");
+fn assert_continuation(at_us: u64, engine: EngineMode, got: &Fingerprint, reference: &Fingerprint) {
+    let who = format!("restore@{at_us}µs under {engine:?}");
     assert_eq!(
         got.quiescent, reference.quiescent,
         "{who}: quiescence verdicts differ"
@@ -96,55 +101,10 @@ fn assert_continuation(
     }
 }
 
-/// The engines (and, for the parallel engine, epoch modes) every
-/// checkpoint is restored under. `SWALLOW_ENGINE` / `SWALLOW_THREADS`
-/// pin the list to one engine for the CI matrix legs.
-fn restore_targets() -> Vec<(EngineMode, Option<EpochMode>)> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return match name.as_str() {
-            "lockstep" => vec![(EngineMode::LockStep, None)],
-            "fastforward" => vec![(EngineMode::FastForward, None)],
-            "parallel" => vec![
-                (
-                    EngineMode::Parallel { threads },
-                    Some(EpochMode::Negotiated),
-                ),
-                (EngineMode::Parallel { threads }, Some(EpochMode::Global)),
-            ],
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        };
-    }
-    vec![
-        (EngineMode::LockStep, None),
-        (EngineMode::FastForward, None),
-        (
-            EngineMode::Parallel { threads: 1 },
-            Some(EpochMode::Negotiated),
-        ),
-        (
-            EngineMode::Parallel { threads: 4 },
-            Some(EpochMode::Negotiated),
-        ),
-        (EngineMode::Parallel { threads: 4 }, Some(EpochMode::Global)),
-    ]
-}
-
 /// Restores `bytes`, re-targets the engine, and runs to quiescence.
-fn continue_after_restore(
-    bytes: &[u8],
-    engine: EngineMode,
-    epoch: Option<EpochMode>,
-    budget: TimeDelta,
-) -> Fingerprint {
+fn continue_after_restore(bytes: &[u8], engine: EngineMode, budget: TimeDelta) -> Fingerprint {
     let mut system = SwallowSystem::restore(bytes).expect("snapshot restores");
     system.machine_mut().set_engine(engine);
-    if let Some(mode) = epoch {
-        system.machine_mut().set_epoch_mode(mode);
-    }
     let quiescent = system.run_until_quiescent(budget);
     fingerprint(&system, quiescent)
 }
@@ -173,9 +133,9 @@ fn differential_snapshot(
         );
         let quiescent = original.run_until_quiescent(budget);
         let reference = fingerprint(&original, quiescent);
-        for (engine, epoch) in restore_targets() {
-            let got = continue_after_restore(&bytes, engine, epoch, budget);
-            assert_continuation(us, engine, epoch, &got, &reference);
+        for engine in common::engines_under_test(&PARALLEL_THREADS) {
+            let got = continue_after_restore(&bytes, engine, budget);
+            assert_continuation(us, engine, &got, &reference);
         }
         last = Some(reference);
     }
@@ -331,6 +291,77 @@ fn mid_fault_window_checkpoints_continue_bit_identically() {
     assert!(reference.faults.reroutes >= 2);
 }
 
+/// Rewrites the engine tag, thread count and epoch-mode byte of an
+/// image's CONF and MACH sections and re-seals both checksums. The
+/// payload offsets follow `write_config` and `Machine::snapshot` for a
+/// machine without trace rings.
+fn retag(image: &[u8], engine: u8, threads: u64, epoch: u8) -> Vec<u8> {
+    let mut out = image.to_vec();
+    let mut pos = 12; // magic + format version
+    while pos < out.len() {
+        let len = u64::from_le_bytes(out[pos + 4..pos + 12].try_into().expect("8 bytes")) as usize;
+        let payload = pos + 12;
+        let offsets = match &out[pos..pos + 4] {
+            b"CONF" => Some((42, 54)),
+            b"MACH" => Some((16, 25)),
+            _ => None,
+        };
+        if let Some((engine_at, epoch_at)) = offsets {
+            let (e, t) = (payload + engine_at, payload + engine_at + 1);
+            assert_eq!(out[e], 2, "layout drifted: no parallel engine tag");
+            assert_eq!(out[payload + epoch_at], 0, "layout drifted: no epoch byte");
+            out[e] = engine;
+            out[t..t + 8].copy_from_slice(&threads.to_le_bytes());
+            out[payload + epoch_at] = epoch;
+            let digest = fnv1a64(&out[payload..payload + len]);
+            out[payload + len..payload + len + 8].copy_from_slice(&digest.to_le_bytes());
+        }
+        pos = payload + len + 8;
+    }
+    out
+}
+
+#[test]
+fn legacy_engine_tags_restore_onto_the_parallel_engine() {
+    // Older builds wrote engine tag 0 for a separate fast-forward engine
+    // and epoch byte 1 for the global epoch barrier. Both restore onto
+    // the windowed engine (fast-forward as its one-thread default) and
+    // re-serialise with canonical tags.
+    let budget = TimeDelta::from_ms(20);
+    for (threads, legacy_engine, legacy_threads, legacy_epoch, restores_as) in [
+        (1, 0, 0, 0, EngineMode::default()),
+        (4, 2, 4, 1, EngineMode::Parallel { threads: 4 }),
+    ] {
+        let mut system = SystemBuilder::new()
+            .parallel(threads)
+            .build()
+            .expect("builds");
+        load_pipeline(&mut system);
+        system.run_for(TimeDelta::from_us(5));
+        let image = system.snapshot();
+        let reference = continue_after_restore(&image, EngineMode::LockStep, budget);
+        let legacy = retag(&image, legacy_engine, legacy_threads, legacy_epoch);
+        assert_ne!(legacy, image);
+        let mut restored = SwallowSystem::restore(&legacy).expect("legacy image restores");
+        assert_eq!(restored.machine().engine(), restores_as);
+        assert_eq!(restored.machine().config().engine, restores_as);
+        assert!(
+            restored.snapshot() == image,
+            "legacy tags re-serialise canonically"
+        );
+        let quiescent = restored.run_until_quiescent(budget);
+        assert_continuation(
+            5,
+            restores_as,
+            &fingerprint(&restored, quiescent),
+            &reference,
+        );
+        // Tags no build ever wrote stay rejected.
+        assert!(SwallowSystem::restore(&retag(&image, 3, 0, 0)).is_err());
+        assert!(SwallowSystem::restore(&retag(&image, 2, 1, 2)).is_err());
+    }
+}
+
 /// A snapshot of a busy machine, built once and shared by the corruption
 /// property below (the bytes themselves are deterministic).
 fn busy_snapshot() -> &'static [u8] {
@@ -391,7 +422,7 @@ proptest! {
         let budget = TimeDelta::from_ms(10);
         let quiescent = system.run_until_quiescent(budget);
         let reference = fingerprint(&system, quiescent);
-        let got = continue_after_restore(&bytes, EngineMode::FastForward, None, budget);
+        let got = continue_after_restore(&bytes, EngineMode::default(), budget);
         prop_assert_eq!(&got.outputs, &reference.outputs);
         prop_assert_eq!(got.now_ps, reference.now_ps);
         prop_assert_eq!(got.instret, reference.instret);

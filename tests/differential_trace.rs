@@ -8,12 +8,14 @@
 //! counters the power monitor already maintains, so instrumented runs
 //! measure the machine, not the measurement.
 //!
-//! Set `SWALLOW_ENGINE` (`lockstep` | `fastforward` | `parallel`, with
-//! `SWALLOW_THREADS`) to pin the suite to one engine, as the CI matrix
-//! does for its dedicated parallel leg.
+//! Set `SWALLOW_ENGINE` (`lockstep` | `parallel`, with `SWALLOW_THREADS`)
+//! to pin the suite to one engine, as the CI matrix does for its
+//! dedicated parallel leg.
+
+mod common;
 
 use swallow_repro::swallow::energy::NodeCategory;
-use swallow_repro::swallow::{EngineMode, SwallowSystem, SystemBuilder, TimeDelta};
+use swallow_repro::swallow::{SwallowSystem, SystemBuilder, TimeDelta};
 use swallow_repro::swallow_workloads::{client_server, farm, pipeline};
 
 /// Thread counts exercised under the parallel engine.
@@ -49,30 +51,11 @@ fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
     }
 }
 
-/// Engines the on/off comparison runs under (`SWALLOW_ENGINE` pins one).
-fn engines_under_test() -> Vec<EngineMode> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return vec![match name.as_str() {
-            "lockstep" => EngineMode::LockStep,
-            "fastforward" => EngineMode::FastForward,
-            "parallel" => EngineMode::Parallel { threads },
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        }];
-    }
-    let mut engines = vec![EngineMode::LockStep, EngineMode::FastForward];
-    engines.extend(PARALLEL_THREADS.map(|threads| EngineMode::Parallel { threads }));
-    engines
-}
-
 /// Runs the same setup twice per engine — observability off, then
 /// tracing + metrics on — and requires identical fingerprints. Also
 /// checks the instrumented run actually captured something.
 fn assert_observability_is_free(budget: TimeDelta, mut setup: impl FnMut(&mut SwallowSystem)) {
-    for engine in engines_under_test() {
+    for engine in common::engines_under_test(&PARALLEL_THREADS) {
         let mut run = |instrumented: bool| {
             let mut builder = SystemBuilder::new().engine(engine);
             if instrumented {

@@ -223,7 +223,6 @@ fn metrics_conserve_energy_under_every_engine() {
     };
     for engine in [
         EngineMode::LockStep,
-        EngineMode::FastForward,
         EngineMode::Parallel { threads: 1 },
         EngineMode::Parallel { threads: 4 },
     ] {
