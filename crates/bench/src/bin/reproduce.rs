@@ -7,8 +7,9 @@
 //! ```
 //!
 //! Experiment names: table1 fig2 fig3 fig4 table2 eq2 latency overhead ec
-//! table3 system system480 ablation proportionality throughput resilience
-//! fleet.
+//! table3 system system480 ablation proportionality resilience fleet.
+//! An unknown name or an unknown `--flag` exits 2 before anything runs.
+//! Host speed is measured by the separate `benchmark/` package, not here.
 //!
 //! The fleet experiment sweeps an open-loop arrival rate over a fleet of
 //! independent machines and writes `BENCH_fleet.json` (offered load,
@@ -21,20 +22,8 @@
 //! reproduce fleet --machines 2 --arrivals bursty:16 --threads 8 --quick
 //! ```
 //!
-//! The throughput experiment additionally writes its rows to
-//! `BENCH_throughput.json` in the working directory, and accepts engine
-//! overrides for one-off measurements:
-//!
-//! ```text
-//! reproduce throughput --engine parallel --threads 8 --grid 2x2
-//! reproduce throughput --engine lockstep --grid 1x1
-//! ```
-//!
-//! `--engine {lockstep,parallel}` pins the engine (default: the full
-//! sweep over lock-step and the parallel engine at 1, 2, 4 and 8
-//! threads), `--threads N` sets the parallel engine's host thread count
-//! (0 = one per host CPU), and `--grid WxH` sizes the measured machine in
-//! slices for the pinned-engine run.
+//! The fleet's `--threads N` is its host thread count (0, the default,
+//! means one per host CPU).
 //!
 //! The observability layer is exercised with `--trace` / `--metrics`,
 //! and deterministic faults are injected with `--faults`:
@@ -45,9 +34,11 @@
 //! reproduce --faults "kill-link:0@2us, corrupt:8@5us+2us, brownout:600@12us+3us"
 //! ```
 //!
-//! Any of the three flags switches to a dedicated instrumented run (a
-//! six-stage pipeline on the configured grid, honouring `--engine`/
-//! `--threads`/`--grid`): `--trace` writes the merged event log as
+//! Any of the three flags switches to a dedicated instrumented run: a
+//! six-stage pipeline on a `--grid WxH` machine in slices (default 1x1),
+//! under the engine `--engine {lockstep,parallel}` pins (default: the
+//! parallel engine on one thread), with `--threads N` host threads for
+//! the parallel engine. `--trace` writes the merged event log as
 //! Chrome `trace_event` JSON (open in Perfetto), `--metrics` writes the
 //! per-supply power time series as CSV, and `--faults` replays the given
 //! fault schedule (grammar: `FaultPlan::parse`) while the run's fault
@@ -74,13 +65,13 @@ use std::time::Instant;
 use swallow::{EngineMode, FaultPlan, Frequency, SystemBuilder, TimeDelta};
 use swallow_bench::experiments::{
     ablation, ec_ratio, eq2, fig2, fig3, fig4, fleet, latency, overhead, proportionality,
-    resilience, system_power, table1, throughput,
+    resilience, system_power, table1,
 };
 use swallow_bench::survey;
 use swallow_fleet::{ArrivalKind, FleetSpec};
 use swallow_workloads::pipeline::{self, PipelineSpec};
 
-const ALL: [&str; 17] = [
+const ALL: [&str; 16] = [
     "table1",
     "fig2",
     "fig3",
@@ -95,7 +86,6 @@ const ALL: [&str; 17] = [
     "system480",
     "ablation",
     "proportionality",
-    "throughput",
     "resilience",
     "fleet",
 ];
@@ -123,8 +113,9 @@ struct EngineOverride {
     seed: u64,
 }
 
-/// Pulls `--engine`, `--threads` and `--grid` (each `--flag value` or
-/// `--flag=value`) out of `args`, leaving every other argument in place.
+/// Pulls every valued flag (`--engine`, `--threads`, `--grid`, ...; each
+/// `--flag value` or `--flag=value`) out of `args`, leaving experiment
+/// names, `--quick` and unknown flags in place.
 fn parse_engine_override(args: &mut Vec<String>) -> EngineOverride {
     let mut take = |flag: &str| -> Option<String> {
         let mut i = 0;
@@ -329,6 +320,18 @@ fn die(msg: &str) -> ! {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let overrides = parse_engine_override(&mut args);
+    let (flags, selected): (Vec<&str>, Vec<&str>) = args
+        .iter()
+        .map(String::as_str)
+        .partition(|a| a.starts_with("--"));
+    if let Some(flag) = flags.iter().find(|&&f| f != "--quick") {
+        die(&format!(
+            "unknown flag `{flag}` (only --quick takes no value); known: {ALL:?}"
+        ));
+    }
+    if let Some(name) = selected.iter().find(|&&n| !ALL.contains(&n)) {
+        die(&format!("unknown experiment `{name}`; known: {ALL:?}"));
+    }
     if overrides.trace.is_some()
         || overrides.metrics.is_some()
         || overrides.faults.is_some()
@@ -338,12 +341,7 @@ fn main() {
         run_observability(&overrides);
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
+    let quick = flags.contains(&"--quick");
     let wanted = |name: &str| {
         if selected.is_empty() {
             // system480 is expensive; only on request or with everything
@@ -406,27 +404,6 @@ fn main() {
                 println!("  measured: {gips:.1} GIPS, {watts:.1} W at the 5 V inputs");
                 println!("  paper:    240 GIPS, 134 W");
             }
-            "throughput" => {
-                let span = TimeDelta::from_us(if quick { 5 } else { 20 });
-                let t = match overrides.engine {
-                    // Pinned engine: one busy-grid measurement.
-                    Some(engine) => {
-                        let (w, h) = overrides.grid;
-                        let scenario: &'static str =
-                            Box::leak(format!("busy-{w}x{h}").into_boxed_str());
-                        throughput::Throughput {
-                            rows: vec![throughput::measure(scenario, engine, (w, h), 1, span)],
-                        }
-                    }
-                    None => throughput::run(span),
-                };
-                println!("{t}");
-                let path = std::path::Path::new("BENCH_throughput.json");
-                match t.write_json(path) {
-                    Ok(()) => println!("  wrote {}", path.display()),
-                    Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-                }
-            }
             "fleet" => {
                 let rates: &[f64] = if quick {
                     &fleet::QUICK_RATES
@@ -441,7 +418,7 @@ fn main() {
                     arrivals: overrides.arrivals,
                     seed: overrides.seed,
                     threads: if overrides.threads == 0 {
-                        throughput::host_parallelism()
+                        std::thread::available_parallelism().map_or(1, |n| n.get())
                     } else {
                         overrides.threads
                     },
@@ -471,10 +448,7 @@ fn main() {
                     Err(e) => eprintln!("  could not write {}: {e}", path.display()),
                 }
             }
-            other => {
-                eprintln!("unknown experiment `{other}`; known: {ALL:?}");
-                std::process::exit(2);
-            }
+            other => unreachable!("experiment `{other}` has no arm"),
         }
         println!("[{name} took {:.2?}]", t0.elapsed());
     }

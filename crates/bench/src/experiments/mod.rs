@@ -13,7 +13,6 @@ pub mod proportionality;
 pub mod resilience;
 pub mod system_power;
 pub mod table1;
-pub mod throughput;
 
 use swallow::{Assembler, Program};
 
@@ -76,8 +75,30 @@ pub fn heavy_mix_program(threads: usize) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
     use swallow::isa::NodeId;
     use swallow::xcore::{Core, CoreConfig};
+    use swallow::{EngineMode, SystemBuilder, TimeDelta};
+
+    /// Runs a busy slice (16 cores on the heavy mix) for `span` under
+    /// `engine` and returns (host ms, simulated MIPS).
+    fn busy_slice(engine: EngineMode, span: TimeDelta) -> (f64, f64) {
+        let mut system = SystemBuilder::new()
+            .slices(1, 1)
+            .engine(engine)
+            .build()
+            .expect("builds");
+        system
+            .load_program_all(&heavy_mix_program(4))
+            .expect("fits");
+        let t0 = Instant::now();
+        system.run_for(span);
+        let host = t0.elapsed().as_secs_f64().max(1e-9);
+        (
+            host * 1e3,
+            system.machine().total_instret() as f64 / host / 1e6,
+        )
+    }
 
     #[test]
     fn heavy_mix_hits_eq1_power() {
@@ -97,5 +118,51 @@ mod tests {
         // Eq. 1 at 500 MHz: 196 mW.
         assert!((power - 196.0).abs() < 3.0, "heavy mix power = {power} mW");
         assert!(core.trap().is_none(), "trap: {:?}", core.trap());
+    }
+
+    /// The default engine must not regress materially below lock-step
+    /// on a machine where every tick has activity. Min-of-3 on both
+    /// sides and a lenient 1.3x bound keep this stable on noisy CI hosts.
+    #[test]
+    fn default_engine_keeps_up_with_lockstep_when_busy() {
+        let span = TimeDelta::from_us(4);
+        let best = |engine: EngineMode| {
+            (0..3)
+                .map(|_| busy_slice(engine, span).0)
+                .fold(f64::INFINITY, f64::min)
+        };
+        let ls = best(EngineMode::LockStep);
+        let default = best(EngineMode::default());
+        assert!(
+            default <= ls * 1.3,
+            "the default engine ({default:.2} ms) regressed past lock-step ({ls:.2} ms) on a busy machine"
+        );
+    }
+
+    /// Guards negotiated-window scaling: on a busy slice the parallel
+    /// engine at 4 threads must not be slower than at 1 (monotone thread
+    /// scaling — the minimum the lock-free negotiation guarantees).
+    /// Min-of-3 MIPS on both sides absorbs host noise; a
+    /// host without 4 CPUs cannot exercise real parallelism, so the test
+    /// logs and skips there rather than measuring scheduler jitter.
+    #[test]
+    fn parallel_four_threads_keeps_up_with_one_when_busy() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cpus < 4 {
+            eprintln!("skipping parallel-scaling regression: host has {cpus} CPUs (< 4)");
+            return;
+        }
+        let span = TimeDelta::from_us(4);
+        let best = |threads: usize| {
+            (0..3)
+                .map(|_| busy_slice(EngineMode::Parallel { threads }, span).1)
+                .fold(0.0f64, f64::max)
+        };
+        let one = best(1);
+        let four = best(4);
+        assert!(
+            four >= one,
+            "parallel/4 ({four:.1} MIPS) regressed below parallel/1 ({one:.1} MIPS) on a busy slice"
+        );
     }
 }

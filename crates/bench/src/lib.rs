@@ -2,9 +2,10 @@
 //!
 //! Each experiment module exposes a `run(...)` returning a typed result
 //! with the same rows/series the paper reports, plus a `Display`
-//! rendering. The `reproduce` binary prints all of them; the Criterion
-//! benches under `benches/` time representative simulation points and
-//! print the rows as they go.
+//! rendering. The `reproduce` binary prints all of them. The simulator's
+//! host speed is measured by the separate `benchmark/` package, which
+//! reuses [`experiments::heavy_mix_program`] and
+//! [`experiments::fleet::check_conservation`].
 //!
 //! | module | paper artefact |
 //! |---|---|

@@ -1251,25 +1251,6 @@ impl Machine {
         self.tracer = Tracer::ring_with_capacity(capacity);
     }
 
-    /// Detaches every trace sink (back to the zero-cost default).
-    pub fn clear_tracing(&mut self) {
-        for core in &mut self.eps.cores {
-            core.set_tracer(Tracer::Off);
-        }
-        self.fabric.set_tracer(Tracer::Off);
-        self.monitor.set_tracer(Tracer::Off);
-        self.tracer = Tracer::Off;
-    }
-
-    /// True when trace rings are attached.
-    pub fn tracing_enabled(&self) -> bool {
-        self.eps
-            .cores
-            .first()
-            .map(|c| c.tracer().is_enabled())
-            .unwrap_or(false)
-    }
-
     /// Merges every component's trace ring into one chronological
     /// [`TraceLog`]: cores in node order, then the fabric, then the power
     /// monitor, then the machine's own fault/resilience ring,

@@ -45,18 +45,6 @@ impl NodeCategory {
             NodeCategory::Other => "Other",
         }
     }
-
-    /// A machine-readable identifier (CSV/JSON column names in the
-    /// observability exporters).
-    pub const fn short_name(self) -> &'static str {
-        match self {
-            NodeCategory::Compute => "compute",
-            NodeCategory::Static => "static",
-            NodeCategory::Network => "network",
-            NodeCategory::Supply => "supply",
-            NodeCategory::Other => "other",
-        }
-    }
 }
 
 impl fmt::Display for NodeCategory {

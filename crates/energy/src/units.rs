@@ -250,11 +250,6 @@ impl fmt::Display for Voltage {
 pub struct Capacitance(f64);
 
 impl Capacitance {
-    /// Creates a capacitance from farads.
-    pub const fn from_farads(f: f64) -> Self {
-        Capacitance(f)
-    }
-
     /// Creates a capacitance from picofarads.
     pub fn from_picofarads(pf: f64) -> Self {
         Capacitance(pf * 1e-12)

@@ -345,11 +345,6 @@ impl Fabric {
         self.in_network == 0
     }
 
-    /// Number of tokens currently inside the network. O(1).
-    pub fn tokens_in_network(&self) -> usize {
-        self.in_network
-    }
-
     /// All-pairs minimum routed token latency between switches, in
     /// picoseconds: entry `i * node_count + j` is the smallest sum of
     /// per-hop token times over any path of *live* (not-down) links from

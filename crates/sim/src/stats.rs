@@ -111,11 +111,6 @@ impl MeanVar {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min

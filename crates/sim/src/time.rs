@@ -148,11 +148,6 @@ impl TimeDelta {
         self.0
     }
 
-    /// Returns the span in nanoseconds, rounding to nearest.
-    pub const fn as_ns_rounded(self) -> u64 {
-        (self.0 + PS_PER_NS / 2) / PS_PER_NS
-    }
-
     /// Returns the span as (fractional) seconds, for reporting.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_S as f64

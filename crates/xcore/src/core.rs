@@ -842,25 +842,6 @@ impl Core {
         }
     }
 
-    /// Test hook: allocates a chanend from outside (as a boot loader
-    /// would) and returns its id.
-    pub fn alloc_chanend(&mut self) -> Option<ResourceId> {
-        self.resources
-            .alloc(ResType::Chanend)
-            .map(|idx| ResourceId::new(self.config.node, idx, ResType::Chanend))
-    }
-
-    /// Sets the destination of a chanend from outside (boot-time routing).
-    pub fn connect_chanend(&mut self, chanend: u8, dest: ResourceId) -> bool {
-        match self.resources.chanend_mut(chanend) {
-            Some(ch) => {
-                ch.dest = Some(dest);
-                true
-            }
-            None => false,
-        }
-    }
-
     // --- scheduling --------------------------------------------------------
 
     fn activate(&mut self, tid: u8) {
