@@ -21,11 +21,13 @@
 //!   lock-step would. Whenever a window cannot pay for itself (pending
 //!   output, tokens in flight, fewer than two runnable cores) the engine
 //!   takes one event-driven quiet-path step instead: it jumps `now`
-//!   straight to the next instant anything can happen, charging the
-//!   skipped idle energy analytically. All processing stays on the
-//!   base-clock grid, so results are bit-identical run to run, equal
-//!   across thread counts, and equal to lock-step within f64
-//!   association error. See DESIGN.md §3.7, §3.8.
+//!   straight to the next instant anything can happen, skipping the
+//!   idle edges in one step (core energy is counted per edge, so a
+//!   skipped edge costs exactly what a ticked one does). All processing
+//!   stays on the base-clock grid, so results are bit-identical run to
+//!   run, equal across thread counts, and equal to lock-step: core
+//!   ledgers bit for bit, machine totals within f64 association error.
+//!   See DESIGN.md §3.7, §3.8.
 
 use crate::ethernet::EthernetBridge;
 use crate::metrics::MetricsHub;
@@ -845,10 +847,9 @@ impl Machine {
         }
         self.now = target;
         // Cores frozen below the commit (externally blocked, or idle the
-        // whole window) catch up analytically before the edge runs; the
-        // chunk boundaries are the committed targets, which are a pure
-        // function of the simulation, so the energy split is
-        // thread-count-independent.
+        // whole window) catch up in one skip before the edge runs; their
+        // energy is counted per edge, so how the span is chunked cannot
+        // change it.
         for core in &mut self.eps.cores {
             if !core.has_tx_pending() {
                 core.skip_idle_until(self.now);
@@ -1213,7 +1214,7 @@ impl Machine {
     /// The full energy ledger of one node: core-level categories plus the
     /// node's share of link, conversion-loss and support energy.
     pub fn node_ledger(&self, node: NodeId) -> EnergyLedger {
-        let mut ledger = *self.core(node).ledger();
+        let mut ledger = self.core(node).ledger();
         ledger.charge(NodeCategory::Network, self.fabric.energy_from_node(node));
         let slice = self.spec.slice_of(node);
         let per_node = 1.0 / crate::topology::CORES_PER_SLICE as f64;
@@ -1466,7 +1467,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SWLWSNAP";
 /// Format version written (and the only one accepted) by this build.
 /// Version 2 extended the BRDG section with the bridge's machine tag,
 /// ingress capacity, traffic counters and reassembled frame queue.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 writes each CORE section's energy as counts (settled
+/// ledger, settle cycle, per-class issue cycles) instead of a ledger.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 fn write_fault_kind(w: &mut ByteWriter, kind: FaultKind) {
     match kind {

@@ -207,9 +207,10 @@ impl PowerMonitor {
 
         for node in self.spec.nodes() {
             let i = node.raw() as usize;
-            let core_delta = cores[i].ledger().total() - self.last_core_energy[i];
+            let core_energy = cores[i].ledger().total();
+            let core_delta = core_energy - self.last_core_energy[i];
             let link_delta = self.scratch_internal_by_node[i] - self.last_internal_by_node[i];
-            self.last_core_energy[i] = cores[i].ledger().total();
+            self.last_core_energy[i] = core_energy;
             self.last_internal_by_node[i] = self.scratch_internal_by_node[i];
             let slice = self.spec.slice_of(node);
             let rail = self.rail_of(node);

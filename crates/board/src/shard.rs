@@ -827,7 +827,8 @@ mod tests {
             // Unprogrammed cores are blocked on external input: the window
             // freezes them at their transition edge (here, time zero) so
             // the engine can observe the machine's quiescence instant.
-            // The machine charges their idle span when it commits.
+            // The machine advances them over their idle span when it
+            // commits.
             assert_eq!(core.local_now(), Time::ZERO);
             assert_eq!(core.ledger().total().as_joules(), 0.0);
         }

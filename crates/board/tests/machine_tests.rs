@@ -2,9 +2,10 @@
 //! across the lattice through the token-level fabric, with the power tree
 //! watching.
 
+use swallow_board::machine::SNAPSHOT_VERSION;
 use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
 use swallow_isa::{Assembler, NodeId, Program};
-use swallow_sim::{Frequency, TimeDelta};
+use swallow_sim::{CodecError, Frequency, TimeDelta};
 
 fn asm(src: &str) -> Program {
     Assembler::new().assemble(src).expect("assembles")
@@ -544,6 +545,21 @@ fn snapshot_restores_under_every_engine() {
         assert_eq!(restored.total_instret(), original.total_instret());
         assert_eq!(restored.core(NodeId(0)).output(), "120\n");
     }
+}
+
+#[test]
+fn version_2_snapshots_are_rejected() {
+    // Version 3 writes core energy as counts where version 2 wrote a
+    // ledger: an older image must fail on its header, not misparse.
+    let mut machine = busy_machine();
+    machine.run_for(TimeDelta::from_ns(500));
+    let mut image = machine.snapshot();
+    assert_eq!(image[8..12], SNAPSHOT_VERSION.to_le_bytes());
+    image[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        Machine::restore(&image).err(),
+        Some(CodecError::BadVersion { found: 2 })
+    );
 }
 
 #[test]

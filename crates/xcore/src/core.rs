@@ -12,9 +12,15 @@
 //! out of [`Core::can_accept`]: the network must not deliver into a full
 //! buffer.
 //!
-//! Every cycle charges static leakage plus clock-tree energy; every issued
-//! instruction charges its class energy (see `swallow-energy`). The split
-//! between the Fig. 2 categories is made here, at the moment of spending.
+//! Energy is counted, not summed: the core counts clock edges and the
+//! issue cycles retired per energy class, and [`Core::ledger`] multiplies
+//! those integer counts by the calibrated per-event costs (see
+//! `swallow-energy`) when it is read. Every edge costs static leakage plus
+//! clock-tree energy; every issued instruction costs its class energy. The
+//! split between the Fig. 2 categories is made at that conversion. A
+//! change to the costs (DVFS, brownout) first *settles* the counts into
+//! joules at the old costs, so every count is priced at the constants in
+//! force when it was made.
 
 use crate::resource::{EventCfg, ResourceTable};
 use crate::snapshot;
@@ -198,16 +204,16 @@ impl ClassCounts {
     }
 }
 
-/// Per-tick energy constants. Every field is a pure function of the
-/// power model and clock period, so caching them is bit-exact (the same
-/// f64 products the uncached expressions would produce); they are
-/// refreshed whenever either input changes (DVFS, brownout derating).
+/// Per-event energy constants: what one clock edge and one issue cycle of
+/// each class cost. Every field is a pure function of the power model and
+/// clock period; they are refreshed whenever either input changes (DVFS,
+/// brownout derating), after the counts made at the old constants have
+/// been settled.
 #[derive(Clone, Copy, Debug)]
 struct TickEnergy {
     /// Leakage over one clock period plus the core share of the
     /// clock-tree/idle-pipeline energy — both land in
-    /// [`NodeCategory::Static`], so they are summed once here instead of
-    /// charged separately every cycle.
+    /// [`NodeCategory::Static`], so they are one constant.
     static_cycle: Energy,
     /// Clock-tree/idle-pipeline energy per cycle, network share.
     clk_net: Energy,
@@ -228,6 +234,15 @@ impl TickEnergy {
             slot,
         }
     }
+}
+
+/// An edge or issue-cycle count as a multiplier. Counts stay below 2⁶³
+/// (584 years of cycles at 500 MHz), where the signed conversion is
+/// exact and one instruction; the unsigned one is a longer sequence on
+/// x86-64, and a ledger read makes nine of them.
+#[inline]
+fn count_f64(n: u64) -> f64 {
+    n as i64 as f64
 }
 
 /// Outcome of executing one instruction (before commit).
@@ -269,7 +284,7 @@ pub struct Core {
     config: CoreConfig,
     period: TimeDelta,
     sram: Sram,
-    threads: Vec<Thread>,
+    threads: [Thread; MAX_THREADS],
     rotation: Vec<u8>,
     wheel: u64,
     /// Threads blocked on a self-waking condition (timer, divider, or a
@@ -284,9 +299,14 @@ pub struct Core {
     now: Time,
     halted: bool,
     trap: Option<Trap>,
-    ledger: EnergyLedger,
+    /// Energy up to the last settle, in joules (see [`Core::ledger`]).
+    settled: EnergyLedger,
+    /// `cycle` at the last settle: edges since then are `cycle - this`.
+    settled_cycle: u64,
+    /// Issue cycles retired per `EnergyClass` since the last settle.
+    slot_cycles: [u64; 8],
+    /// Retired instructions per class; their sum is `instret`.
     class_counts: ClassCounts,
-    instret: u64,
     output: String,
     tracer: Tracer,
     /// When each thread was last scheduled (entered the rotation); pairs
@@ -301,7 +321,8 @@ pub struct Core {
     /// (energy, timer wakes, the issue wheel) is unaffected, so a stall
     /// perturbs nothing when absent.
     stalled_until: Time,
-    /// Cached per-tick energy charges (see [`TickEnergy`]).
+    /// The energy constants the counts since the last settle are priced
+    /// at (see [`TickEnergy`]).
     tick_energy: TickEnergy,
 }
 
@@ -311,7 +332,7 @@ impl Core {
         let period = config.frequency.period();
         Core {
             sram: Sram::new(config.sram_bytes),
-            threads: (0..MAX_THREADS).map(|_| Thread::free()).collect(),
+            threads: std::array::from_fn(|_| Thread::free()),
             rotation: Vec::new(),
             wheel: 0,
             sleepers: 0,
@@ -328,9 +349,10 @@ impl Core {
             now: Time::ZERO,
             halted: false,
             trap: None,
-            ledger: EnergyLedger::new(),
+            settled: EnergyLedger::new(),
+            settled_cycle: 0,
+            slot_cycles: [0; 8],
             class_counts: ClassCounts::default(),
-            instret: 0,
             output: String::new(),
             tracer: Tracer::Off,
             sched_at: [Time::ZERO; MAX_THREADS],
@@ -356,6 +378,7 @@ impl Core {
 
     /// Changes the core clock (dynamic frequency scaling, §III.B).
     pub fn set_frequency(&mut self, f: Frequency) {
+        self.settle();
         self.config.frequency = f;
         self.period = f.period();
         self.tick_energy = TickEnergy::of(&self.config.power, self.period);
@@ -384,6 +407,7 @@ impl Core {
 
     /// Replaces the power model (e.g. to apply a DVFS voltage).
     pub fn set_power_model(&mut self, power: CorePowerModel) {
+        self.settle();
         self.config.power = power;
         self.tick_energy = TickEnergy::of(&self.config.power, self.period);
     }
@@ -418,7 +442,7 @@ impl Core {
 
     /// Total instructions retired.
     pub fn instret(&self) -> u64 {
-        self.instret
+        self.class_counts.0.iter().sum()
     }
 
     /// Instructions retired by one thread.
@@ -439,9 +463,39 @@ impl Core {
         &self.class_counts
     }
 
-    /// The energy ledger (Fig. 2 categories).
-    pub fn ledger(&self) -> &EnergyLedger {
-        &self.ledger
+    /// The energy ledger (Fig. 2 categories): the settled joules plus the
+    /// edges and per-class issue cycles counted since, priced at the
+    /// current constants. A fixed eight-term product, so reading is cheap
+    /// and the result depends only on the counts — never on how the edges
+    /// were advanced (ticked one by one or skipped in one step).
+    pub fn ledger(&self) -> EnergyLedger {
+        let te = &self.tick_energy;
+        let edges = count_f64(self.cycle - self.settled_cycle);
+        let mut compute = Energy::ZERO;
+        let mut comm = Energy::ZERO;
+        for (class, (&slot, &cycles)) in te.slot.iter().zip(&self.slot_cycles).enumerate() {
+            let energy = slot * count_f64(cycles);
+            if class == EnergyClass::Comm as usize {
+                comm = energy;
+            } else {
+                compute += energy;
+            }
+        }
+        let mut ledger = self.settled;
+        ledger.charge(NodeCategory::Static, te.static_cycle * edges);
+        ledger.charge(NodeCategory::Network, te.clk_net * edges + comm);
+        ledger.charge(NodeCategory::Compute, compute);
+        ledger
+    }
+
+    /// Converts the counts made since the last settle into joules at the
+    /// current constants. Must run before anything changes
+    /// [`TickEnergy`], so no count is priced at constants it was not
+    /// made under.
+    fn settle(&mut self) {
+        self.settled = self.ledger();
+        self.settled_cycle = self.cycle;
+        self.slot_cycles = [0; 8];
     }
 
     /// Text printed via hostcalls.
@@ -589,13 +643,13 @@ impl Core {
 
     /// Fast-forwards over clock edges that provably do nothing: advances
     /// `now`/`cycle`/the issue wheel over every edge strictly before
-    /// `limit` (capped at the earliest wake instant) and charges the
-    /// leakage + clock-tree energy those edges would have accrued,
-    /// analytically. No-op unless the core is idle (no ready thread).
+    /// `limit` (capped at the earliest wake instant). No-op unless the
+    /// core is idle (no ready thread).
     ///
     /// The wheel and cycle counters advance exactly as `tick` would have
     /// advanced them, so thread scheduling after the skip is bit-identical
-    /// to the lock-step engine.
+    /// to the lock-step engine — and since edge energy is priced from the
+    /// cycle count (see [`Core::ledger`]), so is the ledger.
     pub fn skip_idle_until(&mut self, limit: Time) {
         if self.halted || !self.rotation.is_empty() {
             return;
@@ -611,17 +665,7 @@ impl Core {
         }
         // Edges at now + k·period for k = 1..=skipped are all < stop.
         let skipped = (span - 1) / period;
-        let elapsed = TimeDelta::from_ps(skipped * period);
-        self.ledger.charge(
-            NodeCategory::Static,
-            self.config.power.static_power() * elapsed,
-        );
-        let clk = self.config.power.idle_cycle_energy() * skipped as f64;
-        self.ledger
-            .charge(NodeCategory::Static, clk * (1.0 - IDLE_NETWORK_FRACTION));
-        self.ledger
-            .charge(NodeCategory::Network, clk * IDLE_NETWORK_FRACTION);
-        self.now += elapsed;
+        self.now += TimeDelta::from_ps(skipped * period);
         self.cycle += skipped;
         self.wheel += skipped;
     }
@@ -630,17 +674,59 @@ impl Core {
     /// loop of the machine's step). Stops immediately if the core halts.
     #[inline]
     pub fn run_until(&mut self, until: Time) {
-        if self.halted {
-            return;
-        }
-        let mut at = self.now + self.period;
-        while at <= until {
-            self.tick(at);
-            if self.halted {
-                return;
+        while !self.halted && self.next_tick_at() <= until {
+            if !self.run_steady(until, false) {
+                self.tick(self.next_tick_at());
             }
-            at = self.now + self.period;
         }
+    }
+
+    /// The steady-state edge loop shared by [`Core::run_until`] and
+    /// [`Core::run_epoch`]: while a thread is ready, none sleeps and issue
+    /// is not stalled, an edge is exactly `now`/`cycle`/wheel advance plus
+    /// one `step_thread` — [`Core::tick`] with every branch that cannot
+    /// fire taken out. Runs edges due at or before `until` and hands back
+    /// to the general `tick` the moment the rotation length, the sleeper
+    /// count or `halted` changes, or (when `stop_on_output`) output is
+    /// pending. Returns `false`, having run nothing, when the core is not
+    /// in that state or fewer than two edges are due.
+    #[inline]
+    fn run_steady(&mut self, until: Time, stop_on_output: bool) -> bool {
+        let len = self.rotation.len();
+        let mut at = self.next_tick_at();
+        // A lone due edge (lock-step's cadence) is cheaper through `tick`:
+        // the loop's set-up pays off from the second edge on.
+        if len == 0 || self.sleepers != 0 || at < self.stalled_until || at + self.period > until {
+            return false;
+        }
+        // Same slot arithmetic as `tick`: the rotation is padded to
+        // max(4, Nt) slots, masked instead of divided for powers of two.
+        let nslots = len.max(4) as u64;
+        let pow2 = nslots.is_power_of_two();
+        let period = self.period;
+        while at <= until {
+            self.now = at;
+            self.cycle += 1;
+            let pos = if pow2 {
+                (self.wheel & (nslots - 1)) as usize
+            } else {
+                (self.wheel % nslots) as usize
+            };
+            self.wheel += 1;
+            if pos < len {
+                let tid = self.rotation[pos];
+                self.step_thread(tid);
+                if self.halted
+                    || self.rotation.len() != len
+                    || self.sleepers != 0
+                    || (stop_on_output && self.tx_pending_count > 0)
+                {
+                    break;
+                }
+            }
+            at += period;
+        }
+        true
     }
 
     /// The instant this core has been simulated to (its local clock). All
@@ -653,7 +739,7 @@ impl Core {
 
     /// Advances one conservative epoch in *isolation*: processes every
     /// clock edge due at or before `until` exactly like [`Core::run_until`],
-    /// fast-forwarding analytically over idle spans, but **stops at the
+    /// skipping idle spans in one step, but **stops at the
     /// first edge that enqueues network output** and returns `true` if it
     /// did. Returns `false` when the core reached `until` cleanly.
     ///
@@ -676,20 +762,25 @@ impl Core {
                 if self.sleepers == 0 {
                     // Blocked on external input only: freeze at the
                     // transition edge instead of idle-advancing. The
-                    // machine catches the core up (charging the same
-                    // idle energy) once the epoch's end instant is
+                    // machine catches the core up (the same idle edges,
+                    // counted the same) once the epoch's end instant is
                     // committed, which keeps the quiescence instant —
                     // the last transition edge — observable to the
                     // engine instead of smeared up to the epoch bound.
                     return false;
                 }
                 // No ready thread: skip the provably idle edges in one
-                // analytic step, then process the wake edge (if any is
+                // step, then process the wake edge (if any is
                 // due within the epoch) below.
                 self.skip_idle_until(until);
                 if self.halted || self.next_tick_at() > until {
                     break;
                 }
+            } else if self.run_steady(until, true) {
+                if self.tx_pending_count > 0 {
+                    return true;
+                }
+                continue;
             }
             let at = self.next_tick_at();
             self.tick(at);
@@ -979,16 +1070,10 @@ impl Core {
         if self.halted {
             return;
         }
+        // The edge's leakage and clock-tree energy is priced from the
+        // cycle count when the ledger is read (see `Core::ledger`).
         self.now = now;
         self.cycle += 1;
-
-        // Energy: leakage + clock tree, every cycle, split per Fig. 2
-        // (precomputed in `tick_energy` — same values the model would
-        // produce, charged without re-deriving them each cycle).
-        self.ledger
-            .charge(NodeCategory::Static, self.tick_energy.static_cycle);
-        self.ledger
-            .charge(NodeCategory::Network, self.tick_energy.clk_net);
 
         if self.sleepers > 0 {
             self.wake_sleepers();
@@ -1099,15 +1184,8 @@ impl Core {
 
     fn retire(&mut self, tid: u8, entry: &Predecoded) {
         let class = entry.class;
-        let energy = self.tick_energy.slot[class as usize] * entry.issue_cycles as f64;
-        let category = if class == EnergyClass::Comm {
-            NodeCategory::Network
-        } else {
-            NodeCategory::Compute
-        };
-        self.ledger.charge(category, energy);
+        self.slot_cycles[class as usize] += entry.issue_cycles as u64;
         self.class_counts.bump(class);
-        self.instret += 1;
         self.threads[tid as usize].instret += 1;
     }
 
@@ -1992,8 +2070,14 @@ impl Core {
 
     /// Serializes the complete architectural state of this core into `w`.
     ///
-    /// Derived state — the decode cache, the cached per-tick energy
-    /// constants, the sleeper and pending-transmit counters — is
+    /// Energy is written as the core keeps it — the settled ledger, the
+    /// settle cycle and the per-class issue-cycle counts — not as the
+    /// materialised [`Core::ledger`], so a restored core prices its
+    /// counts exactly as the original would have.
+    ///
+    /// Derived state — the decode cache, the energy constants, the
+    /// sleeper and pending-transmit counters, the retired-instruction
+    /// total (the sum of the class counts) — is
     /// deliberately omitted: [`Core::restore_state`] recomputes all of
     /// it, bit-identically, because each is a pure function of what *is*
     /// written.
@@ -2028,13 +2112,16 @@ impl Core {
                 snapshot::write_trap_cause(w, &trap.cause);
             }
         }
-        for bits in self.ledger.entry_bits() {
+        for bits in self.settled.entry_bits() {
             w.u64(bits);
+        }
+        w.u64(self.settled_cycle);
+        for &cycles in &self.slot_cycles {
+            w.u64(cycles);
         }
         for &count in &self.class_counts.0 {
             w.u64(count);
         }
-        w.u64(self.instret);
         w.str_prefixed(&self.output);
         for &at in &self.sched_at {
             w.u64(at.as_ps());
@@ -2127,11 +2214,17 @@ impl Core {
         for b in bits.iter_mut() {
             *b = r.u64()?;
         }
-        self.ledger = EnergyLedger::from_entry_bits(bits);
+        self.settled = EnergyLedger::from_entry_bits(bits);
+        self.settled_cycle = r.u64()?;
+        if self.settled_cycle > self.cycle {
+            return Err(CodecError::Invalid("energy settle cycle is in the future"));
+        }
+        for cycles in self.slot_cycles.iter_mut() {
+            *cycles = r.u64()?;
+        }
         for count in self.class_counts.0.iter_mut() {
             *count = r.u64()?;
         }
-        self.instret = r.u64()?;
         self.output = r.str_prefixed()?;
         for at in self.sched_at.iter_mut() {
             *at = Time::from_ps(r.u64()?);
@@ -2169,7 +2262,7 @@ impl fmt::Debug for Core {
             .field("node", &self.config.node)
             .field("frequency", &self.config.frequency)
             .field("cycle", &self.cycle)
-            .field("instret", &self.instret)
+            .field("instret", &self.instret())
             .field("ready_threads", &self.rotation.len())
             .field("halted", &self.halted)
             .field("trap", &self.trap)

@@ -47,10 +47,13 @@ pub const DECODE_CACHE_ENV: &str = "SWALLOW_DECODE_CACHE";
 /// The process-wide default: enabled unless `SWALLOW_DECODE_CACHE` is
 /// set to `off`, `0` or `false` (case-insensitive).
 pub fn decode_cache_default() -> bool {
-    match std::env::var(DECODE_CACHE_ENV) {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    }
+    cache_enabled_by(std::env::var(DECODE_CACHE_ENV).ok().as_deref())
+}
+
+/// Parses a `SWALLOW_DECODE_CACHE` value (`None` when unset): only
+/// `off`, `0` and `false`, in any case, disable the cache.
+fn cache_enabled_by(value: Option<&str>) -> bool {
+    !value.is_some_and(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
 }
 
 /// An empty (invalid) slot: `words == 0` never occurs in a real entry.
@@ -238,7 +241,18 @@ mod tests {
 
     #[test]
     fn env_default_parses_off_values() {
-        // Only checks the parser, not the live environment.
-        assert!(decode_cache_default() || std::env::var(DECODE_CACHE_ENV).is_ok());
+        // The parser alone, independent of the live environment.
+        for (value, enabled) in [
+            (Some("off"), false),
+            (Some("0"), false),
+            (Some("false"), false),
+            (Some("OFF"), false),
+            (Some("on"), true),
+            (Some("1"), true),
+            (Some(""), true),
+            (None, true),
+        ] {
+            assert_eq!(cache_enabled_by(value), enabled, "{value:?}");
+        }
     }
 }

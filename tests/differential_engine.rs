@@ -4,15 +4,18 @@
 //! Both engines process exactly the same grid-aligned instants at which
 //! anything can happen (core ticks, wake-ups, fabric hops, bridge pacing,
 //! monitor updates); the parallel engine merely skips the provably idle
-//! instants in between, charging their energy analytically, and batches
-//! independent spans into windows on host threads. These tests pin that
-//! equivalence down for representative workloads: identical retired
-//! instruction counts, identical final simulated time, identical program
-//! outputs, and energy ledgers equal to within
-//! floating-point association error (the only permitted difference: `n`
-//! idle-tick charges summed one by one versus multiplied out in one shot,
-//! or grouped per shard). The parallel engine is additionally required to
-//! be *bit-identical* across repeated runs at every tested thread count.
+//! instants in between and batches independent spans into windows on
+//! host threads. These tests pin that equivalence down for
+//! representative workloads: identical retired instruction counts,
+//! identical final simulated time, identical program outputs, and
+//! machine energy ledgers equal to within floating-point association
+//! error. Core energy is integer counts (edges, per-class issue cycles)
+//! priced when read, so a skipped edge and a ticked edge are the same
+//! count and every *core* ledger is bit-identical across engines; the
+//! tolerance covers the machine-level sums (link energy, the power
+//! monitor's conversion-loss integration), which group their terms
+//! differently. The parallel engine is additionally required to be
+//! *bit-identical* across repeated runs at every tested thread count.
 //!
 //! Set `SWALLOW_ENGINE` (`lockstep` | `parallel`, with `SWALLOW_THREADS`
 //! for the latter) to pin the suite to one engine — the CI matrix uses
@@ -124,6 +127,38 @@ fn run_differential_with(
     (first.expect("at least one engine under test"), ls)
 }
 
+/// Loads the six-stage pipeline every pipeline scenario runs.
+fn load_pipeline(system: &mut SwallowSystem, spec: &pipeline::PipelineSpec) {
+    pipeline::generate(spec, system.machine().spec())
+        .expect("generates")
+        .apply(system)
+        .expect("loads");
+}
+
+/// The long-timer scenario: three cores sleep for tens of thousands of
+/// timer ticks, then print whether they woke early (`0` = on time).
+const LONG_TIMERS: [(u16, u32); 3] = [(0, 50_000), (7, 63_456), (15, 65_001)];
+
+fn load_long_timers(system: &mut SwallowSystem) {
+    for (node, ticks) in LONG_TIMERS {
+        let program = Assembler::new()
+            .assemble(&format!(
+                "
+                    getr  r0, timer
+                    in    r1, r0
+                    add   r2, r1, {ticks}
+                    tmwait r0, r2
+                    in    r3, r0
+                    lsu   r4, r3, r2      # woke early? must be 0
+                    print r4
+                    freet
+                "
+            ))
+            .expect("assembles");
+        system.load_program(NodeId(node), &program).expect("fits");
+    }
+}
+
 /// [`run_differential_with`] on the default one-slice builder.
 fn run_differential(
     budget: TimeDelta,
@@ -140,10 +175,7 @@ fn pipeline_runs_identically_under_both_engines() {
         work_per_item: 3,
     };
     let (ff, _) = run_differential(TimeDelta::from_ms(20), |system| {
-        pipeline::generate(&spec, system.machine().spec())
-            .expect("generates")
-            .apply(system)
-            .expect("loads");
+        load_pipeline(system, &spec);
     });
     assert!(ff.quiescent, "pipeline must drain");
     assert_eq!(
@@ -199,35 +231,21 @@ fn long_timer_sleeps_fast_forward_to_the_same_instant() {
     // Sleeps far longer than any workload message gap: the parallel
     // engine's quiet path jumps hundreds of thousands of ticks at once
     // here, yet must land on exactly the wake instants lock-step reaches.
-    let (ff, _) = run_differential(TimeDelta::from_ms(10), |system| {
-        for (node, ticks) in [(0u16, 50_000u32), (7, 63_456), (15, 65_001)] {
-            let program = Assembler::new()
-                .assemble(&format!(
-                    "
-                        getr  r0, timer
-                        in    r1, r0
-                        add   r2, r1, {ticks}
-                        tmwait r0, r2
-                        in    r3, r0
-                        lsu   r4, r3, r2      # woke early? must be 0
-                        print r4
-                        freet
-                    "
-                ))
-                .expect("assembles");
-            system.load_program(NodeId(node), &program).expect("fits");
-        }
-    });
+    let (ff, _) = run_differential(TimeDelta::from_ms(10), load_long_timers);
     assert!(ff.quiescent);
-    for node in [0usize, 7, 15] {
-        assert_eq!(ff.outputs[node].trim(), "0", "core {node} woke early");
+    for (node, _) in LONG_TIMERS {
+        assert_eq!(
+            ff.outputs[node as usize].trim(),
+            "0",
+            "core {node} woke early"
+        );
     }
 }
 
 #[test]
 fn idle_machine_burns_identical_energy() {
     // A fully idle slice for 200 µs: every tick of every core is skipped
-    // analytically, and the ledgers must still agree to 1e-9.
+    // in one step, and the ledgers must still agree to 1e-9.
     let run = |engine: EngineMode| {
         let mut system = SystemBuilder::new().engine(engine).build().expect("builds");
         system.run_for(TimeDelta::from_us(200));
@@ -243,6 +261,54 @@ fn idle_machine_burns_identical_energy() {
     assert!(total > 0.0, "idle energy must still be charged");
 }
 
+/// Runs `scenario` under lock-step and every engine under test and
+/// requires every core's ledger to match lock-step's bit for bit.
+fn assert_core_ledgers_bit_identical(name: &str, scenario: impl Fn(&mut SwallowSystem)) {
+    let run = |engine: EngineMode| {
+        let mut system = SystemBuilder::new().engine(engine).build().expect("builds");
+        scenario(&mut system);
+        let machine = system.machine();
+        machine
+            .nodes()
+            .map(|n| machine.core(n).ledger().entry_bits())
+            .collect::<Vec<_>>()
+    };
+    let ls = run(EngineMode::LockStep);
+    assert!(ls.iter().all(|bits| bits.iter().any(|&b| b != 0)));
+    for engine in common::engines_under_test(&[1, 2, 4]) {
+        let got = run(engine);
+        let differing: Vec<usize> = (0..ls.len()).filter(|&i| got[i] != ls[i]).collect();
+        assert!(
+            differing.is_empty(),
+            "{name}, {engine:?}: core ledgers differ from lock-step on cores {differing:?}"
+        );
+    }
+}
+
+#[test]
+fn core_ledgers_are_bit_identical_across_engines() {
+    // Core energy is counted (edges, per-class issue cycles) and priced
+    // when read, so however an engine advances a core — edge by edge,
+    // skipped in one step, in windows on any number of host threads —
+    // equal counts give equal bits. No tolerance here.
+    let spec = pipeline::PipelineSpec {
+        stages: 6,
+        items: 24,
+        work_per_item: 3,
+    };
+    assert_core_ledgers_bit_identical("pipeline", |system| {
+        load_pipeline(system, &spec);
+        assert!(system.run_until_quiescent(TimeDelta::from_ms(20)));
+    });
+    assert_core_ledgers_bit_identical("idle 200 µs", |system| {
+        system.run_for(TimeDelta::from_us(200));
+    });
+    assert_core_ledgers_bit_identical("long timers", |system| {
+        load_long_timers(system);
+        assert!(system.run_until_quiescent(TimeDelta::from_ms(10)));
+    });
+}
+
 #[test]
 fn parallel_agrees_on_shortest_paths_routing() {
     // Same pipeline, but routed breadth-first instead of vertical-first:
@@ -256,12 +322,7 @@ fn parallel_agrees_on_shortest_paths_routing() {
     let (fp, _) = run_differential_with(
         TimeDelta::from_ms(20),
         || SystemBuilder::new().router(RouterKind::ShortestPaths),
-        |system| {
-            pipeline::generate(&spec, system.machine().spec())
-                .expect("generates")
-                .apply(system)
-                .expect("loads");
-        },
+        |system| load_pipeline(system, &spec),
     );
     assert!(fp.quiescent, "pipeline must drain under shortest-paths");
     assert_eq!(fp.outputs[5].trim(), pipeline::checksum(&spec).to_string());
