@@ -176,10 +176,16 @@ impl EthernetBridge {
     }
 
     /// The instant pacing next allows a token out (may be in the past).
-    /// With [`EthernetBridge::tx_backlog`], this is the bridge's
+    /// With the queue head's launch-ready instant, this is the bridge's
     /// contribution to the machine's next-activity estimate.
     pub fn next_tx_at(&self) -> Time {
         self.next_tx
+    }
+
+    /// The next token the bridge will put on the network and its
+    /// destination, whether or not pacing lets it out yet.
+    pub(crate) fn tx_head(&self) -> Option<(ResourceId, Token)> {
+        self.tx.front().copied()
     }
 
     /// Everything received from the network so far.
@@ -217,7 +223,7 @@ impl EthernetBridge {
 
     pub(crate) fn ep_tx_front(&self) -> Option<(ResourceId, Token)> {
         if self.can_transmit() {
-            self.tx.front().copied()
+            self.tx_head()
         } else {
             None
         }

@@ -21,9 +21,10 @@
 //!   lock-step would. Whenever a window cannot pay for itself (pending
 //!   output, tokens in flight, fewer than two runnable cores) the engine
 //!   takes one event-driven quiet-path step instead: it jumps `now`
-//!   straight to the next instant anything can happen, skipping the
-//!   idle edges in one step (core energy is counted per edge, so a
-//!   skipped edge costs exactly what a ticked one does). All processing
+//!   straight to the next instant at which a token or an issue slot can
+//!   move, skipping the edges in between in one step (core energy is
+//!   counted per edge, so a skipped edge costs exactly what a ticked one
+//!   does). All processing
 //!   stays on the base-clock grid, so results are bit-identical run to
 //!   run, equal across thread counts, and equal to lock-step: core
 //!   ledgers bit for bit, machine totals within f64 association error.
@@ -37,6 +38,7 @@ use crate::shard::{EpochPool, ShardPlan};
 use crate::snapshot;
 use crate::topology::{build_topology, GridSpec, TopologyOptions};
 use std::fmt;
+use std::iter;
 use swallow_energy::{DvfsTable, EnergyLedger, NodeCategory};
 use swallow_faults::{FaultCounters, FaultKind, FaultPlan};
 use swallow_isa::{NodeId, Program, ResourceId, Token};
@@ -175,6 +177,39 @@ impl Endpoints {
             .map(|core| core.local_now().as_ps() <= self.tx_gate_ps)
             .unwrap_or(true)
     }
+
+    /// The earliest instant at which the fabric can take a token from a
+    /// core or the bridge: for every pending output head, the instant its
+    /// link can launch ([`Fabric::injection_ready_at`]) — for the bridge
+    /// no earlier than its 80 Mbit/s pacing allows. `None` when nothing
+    /// is pending, `now` as soon as one head can move now or waits on
+    /// something other than link time. Cores are read at their own
+    /// clocks, which the quiet path keeps at the machine's `now`.
+    fn next_injection_at(&self, fabric: &Fabric, now: Time) -> Option<Time> {
+        let bridge = self.bridge.as_ref().and_then(|bridge| {
+            let (dest, _) = bridge.tx_head()?;
+            let ready = fabric.injection_ready_at(now, bridge.node(), 0, dest);
+            Some(ready.max(bridge.next_tx_at()))
+        });
+        let cores = self
+            .cores
+            .iter()
+            .filter(|core| core.has_tx_pending())
+            .flat_map(|core| {
+                core.tx_pending().filter_map(move |chanend| {
+                    let (dest, _) = core.tx_front(chanend)?;
+                    Some(fabric.injection_ready_at(now, core.node(), chanend, dest))
+                })
+            });
+        let mut earliest = None;
+        for at in bridge.into_iter().chain(cores) {
+            if at <= now {
+                return Some(now);
+            }
+            earliest = Some(earliest.map_or(at, |e: Time| e.min(at)));
+        }
+        earliest
+    }
 }
 
 impl CoreEndpoints for Endpoints {
@@ -294,11 +329,14 @@ pub struct Machine {
     faulted_cables: usize,
     engine: EngineMode,
     /// Dense-mode hint maintained by `process_edge`: true when the last
-    /// processed edge left some core with a ready thread due at the very
-    /// next grid instant, in which case the next-activity scan would
+    /// processed edge left some core with a ready thread issuing at the
+    /// very next grid instant, in which case the next-activity scan would
     /// necessarily answer `immediate` and fast-forward degenerates to
     /// lock-step (see `ff_advance`).
     dense: bool,
+    /// Grid instants run through `process_edge` (observability only: not
+    /// snapshotted, so a restored machine counts from zero).
+    edges: u64,
     par: Option<ParState>,
     metrics: MetricsHub,
     /// Link descriptions as built — the basis for recomputing routes
@@ -384,6 +422,7 @@ impl Machine {
             faulted_cables: topo.faulted_cables,
             engine: config.engine,
             dense: false,
+            edges: 0,
             par: None,
             metrics: MetricsHub::new(config.grid, config.metrics),
             descs,
@@ -533,6 +572,7 @@ impl Machine {
     /// `now`, advances the bridge and fabric, and fires the power monitor
     /// when due.
     fn process_edge(&mut self) {
+        self.edges += 1;
         // Scheduled faults land first, serially, on the grid instant —
         // before any core runs or token moves — so every engine sees an
         // identical fault timeline (see DESIGN.md §3.10). One branch
@@ -581,59 +621,46 @@ impl Machine {
                 .sample(self.now, &self.eps.cores, &self.fabric, &self.monitor);
             self.metrics.record_faults(fc);
         }
-        // Refresh the dense-mode hint: a ready thread due at the very
-        // next grid instant pins the next activity to `immediate`, so
-        // fast-forward can skip its scan. Early-exits at the first busy
-        // core, and goes false the moment the machine drains.
+        self.refresh_dense();
+    }
+
+    /// Refreshes the dense-mode hint: a ready thread issuing at the very
+    /// next grid instant pins the next activity to `immediate`, so
+    /// fast-forward can skip its scan. Early-exits at the first busy
+    /// core, and goes false the moment the machine drains.
+    fn refresh_dense(&mut self) {
         let immediate = self.now + self.base_period;
-        self.dense = self
-            .eps
-            .cores
-            .iter()
-            .any(|c| c.ready_threads() > 0 && c.next_tick_at() <= immediate);
+        self.dense = self.eps.cores.iter().any(|c| {
+            c.ready_threads() > 0 && c.next_interesting_at().is_some_and(|at| at <= immediate)
+        });
     }
 
     /// The earliest instant at or after `now` when anything can happen:
-    /// a core's next interesting tick, a fabric arrival, pending core or
-    /// bridge output (immediate), or the monitor cadence. Always finite —
-    /// the monitor bounds it — so fast-forward never overshoots an
-    /// accounting boundary.
+    /// a core's next issue slot or wake, the instant a queued token or a
+    /// pending core or bridge output head can launch, a fabric arrival,
+    /// a scheduled fault, or the monitor cadence. Always finite — the
+    /// monitor bounds it — so fast-forward never overshoots an accounting
+    /// boundary.
     fn next_activity_at(&self) -> Time {
         let immediate = self.now + self.base_period;
         let mut earliest = self.monitor.next_update();
         // Scheduled faults (and the end of an active brownout) are
-        // activity: fast-forward must land on their grid instants.
-        if let Some(at) = self.faults.next_at() {
+        // activity: fast-forward must land on their grid instants. The
+        // sources are scanned lazily, likeliest to end the scan first: a
+        // core issuing at the next edge already set the dense hint, so
+        // cores come last.
+        let sources = self
+            .faults
+            .next_at()
+            .into_iter()
+            .chain(iter::once_with(|| self.eps.next_injection_at(&self.fabric, self.now)).flatten())
+            .chain(iter::once_with(|| self.fabric.next_event_at(self.now)).flatten())
+            .chain(self.eps.cores.iter().filter_map(Core::next_interesting_at));
+        for at in sources {
             if at <= immediate {
                 return immediate;
             }
             earliest = earliest.min(at);
-        }
-        for core in &self.eps.cores {
-            if core.has_tx_pending() {
-                return immediate;
-            }
-            if let Some(at) = core.next_interesting_at() {
-                if at <= immediate {
-                    return immediate;
-                }
-                earliest = earliest.min(at);
-            }
-        }
-        if let Some(at) = self.fabric.next_event_at(self.now) {
-            if at <= immediate {
-                return immediate;
-            }
-            earliest = earliest.min(at);
-        }
-        if let Some(bridge) = self.eps.bridge.as_ref() {
-            if bridge.tx_backlog() > 0 {
-                let at = bridge.next_tx_at();
-                if at <= immediate {
-                    return immediate;
-                }
-                earliest = earliest.min(at);
-            }
         }
         earliest
     }
@@ -652,7 +679,7 @@ impl Machine {
 
     /// Fast-forward by one event: jump to the next grid instant where
     /// anything can happen (capped at `deadline`), analytically skipping
-    /// the idle span for every core, then process that edge.
+    /// every core's edges up to it, then process that edge.
     fn ff_advance(&mut self, deadline: Time) {
         // Busy machines tick on every edge: when the dense hint is set,
         // the scan below would answer `immediate`, so this advance is
@@ -750,6 +777,15 @@ impl Machine {
             .unwrap_or((0, 0))
     }
 
+    /// Grid instants processed so far — every lock-step step, quiet-path
+    /// jump and window commit edge, but not the serial replay inside a
+    /// window. The quiet path's host cost is roughly proportional to it.
+    /// Observability only: not part of a snapshot, and zero after
+    /// [`Machine::restore`].
+    pub fn edges_processed(&self) -> u64 {
+        self.edges
+    }
+
     /// One pairwise-negotiated advance (DESIGN.md §3.12): pick the next
     /// instant that *must* be processed serially — the power monitor's
     /// cadence, the run deadline, or the edge before a scheduled fault —
@@ -760,10 +796,9 @@ impl Machine {
     ///
     /// Falls back to [`Self::ff_advance`] whenever the window could not
     /// pay for a dispatch or the quiet-machine preconditions fail:
-    /// pending core output (must inject on the very next grid instant),
-    /// tokens in flight or bridge backlog (the fabric only steps
-    /// serially), fewer than two runnable cores, or a window shorter
-    /// than two grid periods.
+    /// pending core output, tokens in flight or bridge backlog (the
+    /// fabric only steps serially), fewer than two runnable cores, or a
+    /// window shorter than two grid periods.
     ///
     /// Correctness: within the window shards interact with nothing
     /// (fabric idle on entry, horizons bound cross-shard reachability,
@@ -1340,7 +1375,7 @@ impl Machine {
         snapshot::write_time(&mut w, self.now);
         w.u64(self.faulted_cables as u64);
         write_engine(&mut w, self.engine);
-        w.u8(0); // the retired epoch-mode byte (see `read_engine`)
+        w.u8(0); // the retired epoch-mode byte (see `read_epoch_byte`)
         w.end_section();
         for core in &self.eps.cores {
             w.begin_section(*b"CORE");
@@ -1452,12 +1487,7 @@ impl Machine {
                 .fabric
                 .set_router(Box::new(TableRouter::shortest_paths(n, &alive)));
         }
-        let immediate = machine.now + machine.base_period;
-        machine.dense = machine
-            .eps
-            .cores
-            .iter()
-            .any(|c| c.ready_threads() > 0 && c.next_tick_at() <= immediate);
+        machine.refresh_dense();
         Ok(machine)
     }
 }
@@ -1553,14 +1583,11 @@ fn write_engine(w: &mut ByteWriter, engine: EngineMode) {
     }
 }
 
-/// Reads what [`write_engine`] wrote. Images from builds that still had
-/// a separate fast-forward engine carry tag 0 for it; it restores as the
-/// default windowed engine, whose quiet path is that engine's step.
+/// Reads what [`write_engine`] wrote.
 fn read_engine(r: &mut ByteReader<'_>) -> Result<EngineMode, CodecError> {
     let tag = r.u8()?;
     let threads = r.u64()?;
     Ok(match tag {
-        0 => EngineMode::default(),
         1 => EngineMode::LockStep,
         2 => EngineMode::Parallel {
             threads: usize::try_from(threads)
@@ -1570,13 +1597,12 @@ fn read_engine(r: &mut ByteReader<'_>) -> Result<EngineMode, CodecError> {
     })
 }
 
-/// Skips the epoch-mode byte. It selected between the pairwise
-/// negotiation (0) and the global epoch barrier (1) the negotiation
-/// replaced; both restore onto the one remaining protocol, so this build
-/// always writes 0 and accepts either.
+/// Skips the epoch-mode byte. It once selected between the pairwise
+/// negotiation (0) and a global epoch barrier (1); only the negotiation
+/// remains, so the byte is always 0.
 fn read_epoch_byte(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
     match r.u8()? {
-        0 | 1 => Ok(()),
+        0 => Ok(()),
         _ => Err(CodecError::Invalid("unknown epoch-mode tag")),
     }
 }
@@ -1604,7 +1630,7 @@ fn write_config(w: &mut ByteWriter, c: &MachineConfig) {
     }
     w.bool(c.metrics);
     w.bool(c.decode_cache);
-    w.u8(0); // the retired epoch-mode byte (see `read_engine`)
+    w.u8(0); // the retired epoch-mode byte (see `read_epoch_byte`)
     w.u64(c.faults.len() as u64);
     for ev in c.faults.events() {
         snapshot::write_time(w, ev.at);

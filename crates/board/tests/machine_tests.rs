@@ -4,8 +4,9 @@
 
 use swallow_board::machine::SNAPSHOT_VERSION;
 use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
+use swallow_faults::FaultPlan;
 use swallow_isa::{Assembler, NodeId, Program};
-use swallow_sim::{CodecError, Frequency, TimeDelta};
+use swallow_sim::{CodecError, Frequency, Time, TimeDelta};
 
 fn asm(src: &str) -> Program {
     Assembler::new().assemble(src).expect("assembles")
@@ -467,6 +468,164 @@ fn engine_can_switch_to_parallel_mid_run() {
     for node in machine.nodes().collect::<Vec<_>>() {
         assert_eq!(machine.core(node).output(), "7\n");
     }
+}
+
+/// A one-slice request/reply service behind the bridge, the shape the
+/// fleet serves: core 0 forwards each `[tag, value]` frame round-robin to
+/// three workers, each worker squares the value four times and sends
+/// `[tag, result]` straight back to the bridge. `requests` frames arrive
+/// 10 µs apart; the machine runs in 10 µs chunks until every reply is in.
+/// Returns the machine and the replies received.
+fn serve_requests(engine: EngineMode, requests: u32) -> (Machine, Vec<u32>) {
+    let mut config = MachineConfig::one_slice();
+    config.bridge = true;
+    config.engine = engine;
+    let mut machine = Machine::new(config);
+    let bridge = machine.bridge().expect("fitted").chanend().raw();
+    let chanend =
+        |node: u16| swallow_isa::ResourceId::new(NodeId(node), 0, swallow_isa::ResType::Chanend);
+    let (worker0, stride) = (chanend(1).raw(), chanend(2).raw() - chanend(1).raw());
+    let dispatcher = asm(&format!(
+        "
+            getr  r0, chanend
+            getr  r1, chanend
+            ldc   r2, 0
+            ldc   r6, {requests}
+            ldc   r10, {stride}
+            ldc   r11, {worker0}
+        next:
+            in    r3, r0
+            in    r4, r0
+            chkct r0, end
+            mul   r5, r2, r10
+            add   r5, r5, r11
+            setd  r1, r5
+            out   r1, r3
+            out   r1, r4
+            outct r1, end
+            add   r2, r2, 1
+            sub   r5, r2, 3
+            bt    r5, kept
+            ldc   r2, 0
+        kept:
+            sub   r6, r6, 1
+            bt    r6, next
+            freet
+        "
+    ));
+    machine.load_program(NodeId(0), &dispatcher).expect("fits");
+    for w in 0..3u32 {
+        let budget = requests / 3 + u32::from(w < requests % 3);
+        let worker = asm(&format!(
+            "
+                getr  r0, chanend
+                getr  r1, chanend
+                ldc   r2, {bridge}
+                setd  r1, r2
+                ldc   r6, {budget}
+            serve:
+                in    r3, r0
+                in    r4, r0
+                chkct r0, end
+                mul   r4, r4, r4
+                mul   r4, r4, r4
+                mul   r4, r4, r4
+                mul   r4, r4, r4
+                out   r1, r3
+                out   r1, r4
+                outct r1, end
+                sub   r6, r6, 1
+                bt    r6, serve
+                freet
+            "
+        ));
+        machine
+            .load_program(NodeId(w as u16 + 1), &worker)
+            .expect("fits");
+    }
+    for tag in 0..requests {
+        let frame = [tag, tag + 3];
+        assert!(machine
+            .bridge_mut()
+            .expect("fitted")
+            .send_frame(chanend(0), &frame));
+        machine.run_for(TimeDelta::from_us(10));
+    }
+    assert!(machine.run_until_quiescent(TimeDelta::from_us(500)));
+    let words = machine.bridge().expect("fitted").received_words();
+    (machine, words)
+}
+
+#[test]
+fn quiet_path_skips_edges_nothing_can_move_on() {
+    // Link time dominates a served request: reply tokens wait behind the
+    // bridge-facing link, the bridge paces its output at 80 Mbit/s and
+    // one-thread workers issue on one edge in four. The quiet path jumps
+    // straight to each instant at which a token or an issue slot can
+    // move, so it processes a small fraction of lock-step's grid
+    // instants and still lands on the same replies, instant and ledger.
+    let requests = 30;
+    let (lockstep, ls_words) = serve_requests(EngineMode::LockStep, requests);
+    let (quiet, words) = serve_requests(EngineMode::default(), requests);
+    let mut replies: Vec<&[u32]> = words.chunks(2).collect();
+    replies.sort_unstable();
+    let expected: Vec<[u32; 2]> = (0..requests)
+        .map(|tag| [tag, (tag + 3).wrapping_pow(16)])
+        .collect();
+    assert_eq!(replies, expected, "every request answered correctly");
+    assert_eq!(words, ls_words, "replies in lock-step's order");
+    assert_eq!(quiet.now(), lockstep.now());
+    assert_eq!(
+        quiet.machine_ledger().total().as_joules().to_bits(),
+        lockstep.machine_ledger().total().as_joules().to_bits()
+    );
+    // Lock-step processes every grid instant. The quiet path processed
+    // 82 874 of them here while it still stepped every edge on which a
+    // token waited for a link or a thread for its issue slot; it now
+    // processes 3 176.
+    assert_eq!(lockstep.edges_processed(), lockstep.now().as_ps() / 2_000);
+    let edges = quiet.edges_processed();
+    assert!(edges * 5 <= 82_874, "{edges} edges processed");
+    // Observability only: a restored machine counts from zero.
+    let restored = Machine::restore(&quiet.snapshot()).expect("restores");
+    assert_eq!(restored.edges_processed(), 0);
+}
+
+#[test]
+fn quiet_path_retries_when_the_failed_attempt_frees_the_link() {
+    // A lone sender whose first hop is corrupt: after each failed attempt
+    // nothing is on the wire and no thread is ready, so only the failed
+    // attempt's `busy_until` says when the pending output may try again.
+    // The quiet path must land on exactly those instants.
+    let run = |engine: EngineMode| {
+        let links: Vec<_> = Machine::new(MachineConfig::one_slice())
+            .link_descs()
+            .iter()
+            .filter(|d| d.from == NodeId(0) && d.to == NodeId(1))
+            .map(|d| d.id)
+            .collect();
+        let mut config = MachineConfig::one_slice();
+        config.engine = engine;
+        config.faults = links.into_iter().fold(FaultPlan::new(), |plan, link| {
+            plan.corrupt_window(Time::ZERO, link, TimeDelta::from_ns(300))
+        });
+        let mut machine = Machine::new(config);
+        machine
+            .load_program(NodeId(0), &sender(1, 777))
+            .expect("fits");
+        machine.load_program(NodeId(1), &receiver()).expect("fits");
+        assert!(machine.run_until_quiescent(TimeDelta::from_us(10)));
+        (
+            machine.now(),
+            machine.core(NodeId(1)).output().to_owned(),
+            machine.fault_counters().retransmits,
+            machine.core(NodeId(1)).ledger().entry_bits(),
+        )
+    };
+    let ls = run(EngineMode::LockStep);
+    assert_eq!(ls.1, "777\n");
+    assert!(ls.2 > 0, "the sender's first hop was retried");
+    assert_eq!(run(EngineMode::default()), ls);
 }
 
 // --- snapshot / restore -----------------------------------------------------

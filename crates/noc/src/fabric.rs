@@ -26,11 +26,46 @@ use crate::endpoints::CoreEndpoints;
 use crate::link::{Direction, LinkId, LinkParams, HEADER_TOKENS};
 use crate::routing::{LinkDesc, Router};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use swallow_energy::Energy;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
 use swallow_sim::{
     ByteReader, ByteWriter, CodecError, Time, TimeDelta, TraceEvent, TraceSink, Tracer,
 };
+
+/// Multiply-rotate hashing for the fabric's maps, whose keys are a few
+/// small integers (flow, node and chanend ids) looked up on every launch
+/// attempt and every horizon query: far cheaper than the default
+/// SipHash, and seed-free. The keys are ids the topology bounds, so no
+/// input can grow a map, or a collision chain, past nodes × chanends.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Receive-buffer capacity per link input port (the credit window).
 pub const RX_CAPACITY: usize = 8;
@@ -260,8 +295,8 @@ impl FabricBuilder {
             outgoing,
             router,
             loopback: (0..self.nodes).map(|_| VecDeque::new()).collect(),
-            dest_owner: HashMap::new(),
-            sticky: HashMap::new(),
+            dest_owner: IdMap::default(),
+            sticky: IdMap::default(),
             unroutable: 0,
             in_network: 0,
             tx_scratch: Vec::new(),
@@ -283,14 +318,14 @@ pub struct Fabric {
     loopback: Vec<VecDeque<(Time, u8, Token, u32)>>,
     /// Per destination chanend: the flow whose packet currently owns
     /// delivery (wormhole ownership of the final hop). Key: node<<8 | ch.
-    dest_owner: HashMap<u32, u32>,
+    dest_owner: IdMap<u32, u32>,
     /// Sticky link binding: once a flow has carried a packet towards a
     /// destination over some link out of a switch, its later packets to
     /// the same destination use the same link. This preserves a channel's
     /// token order end-to-end (XS1 channels are serial); link aggregation
     /// balances *distinct* flows across parallel links, which is exactly
     /// how §V.B describes its use.
-    sticky: HashMap<(u32, NodeId, NodeId), LinkId>,
+    sticky: IdMap<(u32, NodeId, NodeId), LinkId>,
     unroutable: u64,
     /// Tokens currently inside the network (on a wire, in a receive
     /// queue, or in a loopback queue). Maintained incrementally so
@@ -409,9 +444,11 @@ impl Fabric {
     }
 
     /// The earliest instant at which the fabric itself has work to do,
-    /// given no further core activity: `Some(now)` when tokens are
-    /// already deliverable or queued at a switch, the earliest wire /
-    /// loopback arrival otherwise, and `None` when the network is empty.
+    /// given no further core activity: the earliest wire or loopback
+    /// arrival, and for every token queued at a switch the instant it
+    /// can next move — `now` for a delivery to the switch's own core, the
+    /// launch-ready instant ([`Fabric::launch_ready_at`]) for a token
+    /// bound onwards. `None` when the network is empty.
     ///
     /// This is the network half of the fast-forward contract: strictly
     /// before the returned instant, [`Fabric::step`] without new core
@@ -420,18 +457,24 @@ impl Fabric {
         if self.in_network == 0 {
             return None;
         }
-        let mut earliest: Option<Time> = None;
+        let mut earliest = Time::MAX;
         for link in &self.links {
-            if !link.rx.is_empty() {
-                // Queued at the switch: forwarding/delivery can progress
-                // (or is head-of-line blocked and must be retried) now.
-                return Some(now);
+            if let Some(&(_, flow, dest)) = link.rx.front() {
+                let at = if dest.node() == link.to {
+                    now
+                } else {
+                    self.launch_ready_at(now, link.to, flow, dest)
+                };
+                if at <= now {
+                    return Some(now);
+                }
+                earliest = earliest.min(at);
             }
             if let Some(&(arrival, ..)) = link.in_flight.front() {
                 if arrival <= now {
                     return Some(now);
                 }
-                earliest = Some(earliest.map_or(arrival, |e: Time| e.min(arrival)));
+                earliest = earliest.min(arrival);
             }
         }
         for queue in &self.loopback {
@@ -439,10 +482,63 @@ impl Fabric {
                 if arrival <= now {
                     return Some(now);
                 }
-                earliest = Some(earliest.map_or(arrival, |e: Time| e.min(arrival)));
+                earliest = earliest.min(arrival);
             }
         }
-        earliest
+        Some(earliest)
+    }
+
+    /// When the token at the head of `node`'s chanend `chanend` output
+    /// queue, bound for `dest`, can next enter the network: `now` for a
+    /// core-local destination (the loopback path has no link time),
+    /// otherwise the launch-ready instant ([`Fabric::launch_ready_at`])
+    /// of the chanend's flow at its own switch. The injection half of the
+    /// fast-forward contract.
+    pub fn injection_ready_at(
+        &self,
+        now: Time,
+        node: NodeId,
+        chanend: u8,
+        dest: ResourceId,
+    ) -> Time {
+        if dest.node() == node {
+            return now;
+        }
+        self.launch_ready_at(now, node, chanend_flow(node, chanend), dest)
+    }
+
+    /// The instant from which a token of `flow` queued at switch `at` and
+    /// bound for `dest` on another switch can launch, if nothing else in
+    /// the network changes first: the `busy_until` of the link
+    /// [`Fabric::try_transmit`] would take — the flow's sticky link, else
+    /// the earliest free router candidate — provided that link is up, has
+    /// credit and is not held by another packet. Every other block (an
+    /// owned or credit-less link, a dead sticky link, no route) waits on
+    /// another token's progress or needs the attempt itself, so it
+    /// answers `now`.
+    ///
+    /// Exact, not just conservative: before the returned instant every
+    /// attempt is a side-effect-free `Busy`. Only a launch on a link moves
+    /// its `busy_until` or takes its ownership or credit, and none can
+    /// start before `busy_until`; a retry in a corrupt or drop window
+    /// sets `busy_until` to the next attempt's instant.
+    fn launch_ready_at(&self, now: Time, at: NodeId, flow: u32, dest: ResourceId) -> Time {
+        let ready = match self.sticky.get(&(flow, at, dest.node())) {
+            Some(&bound) => {
+                let link = &self.links[bound.0 as usize];
+                let held = link.owner.is_some_and(|owner| owner != flow);
+                (!link.down && !held && link.credit() >= 1).then_some(link.busy_until)
+            }
+            None => self
+                .router
+                .candidates(at, dest.node())
+                .iter()
+                .map(|lid| &self.links[lid.0 as usize])
+                .filter(|link| !link.down && link.owner.is_none() && link.credit() >= 1)
+                .map(|link| link.busy_until)
+                .min(),
+        };
+        ready.map_or(now, |free| free.max(now))
     }
 
     /// Replaces the fabric's trace sink.
@@ -630,7 +726,7 @@ impl Fabric {
     /// final-hop half of wormhole routing — packets never interleave at
     /// the receiver).
     fn try_deliver<E: CoreEndpoints>(
-        dest_owner: &mut HashMap<u32, u32>,
+        dest_owner: &mut IdMap<u32, u32>,
         cores: &mut E,
         node: NodeId,
         chanend: u8,
@@ -706,7 +802,7 @@ impl Fabric {
             cores.for_each_tx_pending(node_id, &mut |ch| pending.push(ch));
             for &chanend in &pending {
                 while let Some((dest, token)) = cores.tx_front(node_id, chanend) {
-                    let flow = ResourceId::new(node_id, chanend, ResType::Chanend).raw();
+                    let flow = chanend_flow(node_id, chanend);
                     if dest.node() == node_id {
                         // Core-local: loopback path, no serial link.
                         if self.loopback[node].len() < LOOPBACK_CAPACITY {
@@ -1148,6 +1244,12 @@ impl Fabric {
     }
 }
 
+/// The flow a chanend's output belongs to: its own resource id, the
+/// identity wormhole ownership and sticky bindings are keyed by.
+fn chanend_flow(node: NodeId, chanend: u8) -> u32 {
+    ResourceId::new(node, chanend, ResType::Chanend).raw()
+}
+
 fn write_token(w: &mut ByteWriter, t: Token) {
     match t {
         Token::Data(b) => {
@@ -1176,5 +1278,89 @@ impl std::fmt::Debug for Fabric {
             .field("links", &self.links.len())
             .field("unroutable", &self.unroutable)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TableRouter;
+    use swallow_energy::WireClass;
+
+    const NOW: Time = Time::from_ps(1_000_000);
+    const FREE_AT: Time = Time::from_ps(1_032_000);
+
+    /// A three-switch line `0 — 1 — 2` of on-chip link pairs, holding one
+    /// data token of flow 7 in switch 1's receive queue, bound for
+    /// switch 2; the onward link `1 → 2` is busy until [`FREE_AT`].
+    fn head_behind_busy_link() -> (Fabric, LinkId) {
+        let mut b = FabricBuilder::new(3);
+        let params = LinkParams::from_class(WireClass::OnChip);
+        let (into_1, _) = b.link_two_way(NodeId(0), NodeId(1), Direction::East, params);
+        let (onward, _) = b.link_two_way(NodeId(1), NodeId(2), Direction::East, params);
+        let router = TableRouter::shortest_paths(3, b.link_descs());
+        let mut fabric = b.build(Box::new(router));
+        let dest = ResourceId::new(NodeId(2), 0, ResType::Chanend);
+        fabric.links[into_1.0 as usize]
+            .rx
+            .push_back((Token::Data(1), 7, dest));
+        fabric.in_network = 1;
+        fabric.links[onward.0 as usize].busy_until = FREE_AT;
+        (fabric, onward)
+    }
+
+    #[test]
+    fn a_head_behind_a_busy_link_waits_for_its_busy_until() {
+        let (mut fabric, onward) = head_behind_busy_link();
+        assert_eq!(fabric.next_event_at(NOW), Some(FREE_AT));
+        // The flow is bound to the busy link, and mid-packet owns it:
+        // still just link time.
+        fabric.sticky.insert((7, NodeId(1), NodeId(2)), onward);
+        assert_eq!(fabric.next_event_at(NOW), Some(FREE_AT));
+        fabric.links[onward.0 as usize].owner = Some(7);
+        assert_eq!(fabric.next_event_at(NOW), Some(FREE_AT));
+        // Once the link is free the head moves now.
+        assert_eq!(fabric.next_event_at(FREE_AT), Some(FREE_AT));
+    }
+
+    #[test]
+    fn ownership_and_credit_blocks_answer_now() {
+        // Another packet holds the link: its END decides, not link time.
+        let (mut fabric, onward) = head_behind_busy_link();
+        fabric.links[onward.0 as usize].owner = Some(8);
+        assert_eq!(fabric.next_event_at(NOW), Some(NOW));
+        // The same through a sticky binding.
+        fabric.sticky.insert((7, NodeId(1), NodeId(2)), onward);
+        assert_eq!(fabric.next_event_at(NOW), Some(NOW));
+
+        // No credit: the receiver's progress decides, even though every
+        // token on the wire lands later than the link frees.
+        let (mut fabric, onward) = head_behind_busy_link();
+        let dest = ResourceId::new(NodeId(2), 0, ResType::Chanend);
+        let later = FREE_AT + TimeDelta::from_ns(500);
+        let link = &mut fabric.links[onward.0 as usize];
+        for _ in 0..RX_CAPACITY {
+            link.in_flight.push_back((later, Token::Data(2), 9, dest));
+        }
+        fabric.in_network += RX_CAPACITY;
+        assert_eq!(fabric.next_event_at(NOW), Some(NOW));
+
+        // A dead link: the next attempt reroutes (or finds no route).
+        let (mut fabric, onward) = head_behind_busy_link();
+        fabric.links[onward.0 as usize].down = true;
+        assert_eq!(fabric.next_event_at(NOW), Some(NOW));
+    }
+
+    #[test]
+    fn injection_heads_follow_the_same_rule() {
+        let (fabric, _) = head_behind_busy_link();
+        let remote = ResourceId::new(NodeId(2), 0, ResType::Chanend);
+        assert_eq!(
+            fabric.injection_ready_at(NOW, NodeId(1), 3, remote),
+            FREE_AT
+        );
+        // Core-local output takes the loopback path: no link time.
+        let local = ResourceId::new(NodeId(1), 0, ResType::Chanend);
+        assert_eq!(fabric.injection_ready_at(NOW, NodeId(1), 3, local), NOW);
     }
 }

@@ -3,9 +3,9 @@
 
 use swallow_energy::WireClass;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
-use swallow_noc::endpoints::TestEndpoints;
+use swallow_noc::endpoints::{TestEndpoints, TEST_CHANENDS};
 use swallow_noc::routing::LinkDesc;
-use swallow_noc::{Direction, Fabric, FabricBuilder, LinkParams, TableRouter};
+use swallow_noc::{CoreEndpoints, Direction, Fabric, FabricBuilder, LinkParams, TableRouter};
 use swallow_sim::{Time, TimeDelta};
 
 fn chan(node: u16, idx: u8) -> ResourceId {
@@ -341,4 +341,152 @@ fn vertical_first_router_on_a_package_pair_reaches_everything() {
             );
         }
     }
+}
+
+/// A four-switch line `0 ═ 1 — 2 ≈ 3` (two aggregated on-chip pairs, one
+/// on-chip pair, one off-board FFC pair) loaded with crossing packets:
+/// a long flow whose slow last hop backs tokens up into credit stalls,
+/// a flow contending with it for `1 → 2` (ownership blocks), reverse
+/// traffic, core-local loopback, and a corrupt window on `1 → 2` whose
+/// retries reschedule that link.
+fn contended_line() -> (Fabric, TestEndpoints) {
+    let mut b = FabricBuilder::new(4);
+    let on_chip = LinkParams::from_class(WireClass::OnChip);
+    b.link_two_way(NodeId(0), NodeId(1), Direction::East, on_chip);
+    b.link_two_way(NodeId(0), NodeId(1), Direction::East, on_chip);
+    let (one_two, _) = b.link_two_way(NodeId(1), NodeId(2), Direction::East, on_chip);
+    let ffc = LinkParams::from_class(WireClass::OffBoardFfc);
+    b.link_two_way(NodeId(2), NodeId(3), Direction::East, ffc);
+    let router = TableRouter::shortest_paths(4, b.link_descs());
+    let mut fabric = b.build(Box::new(router));
+    fabric.set_link_corrupt_until(one_two, Time::ZERO + TimeDelta::from_ns(400));
+    let mut eps = TestEndpoints::new(4);
+    let flows: [(u16, u8, ResourceId, u32); 5] = [
+        (0, 0, chan(3, 0), 6),
+        (0, 1, chan(2, 1), 4),
+        (3, 0, chan(0, 2), 3),
+        (1, 0, chan(1, 4), 2),
+        (2, 2, chan(3, 1), 2),
+    ];
+    for (node, chanend, dest, words) in flows {
+        for w in 0..words {
+            eps.queue_word(NodeId(node), chanend, dest, w << 8 | chanend as u32);
+        }
+        eps.queue_token(NodeId(node), chanend, dest, Token::Ctrl(ControlToken::END));
+    }
+    (fabric, eps)
+}
+
+/// One flow over a single on-chip link with a corrupt window: between
+/// retries nothing is in flight, so only the failed attempt's
+/// `busy_until` says when to try again.
+fn lone_retry() -> (Fabric, TestEndpoints) {
+    let (mut fabric, mut eps) = two_nodes(1);
+    fabric.set_link_corrupt_until(
+        swallow_noc::LinkId::from_raw(0),
+        Time::ZERO + TimeDelta::from_ns(300),
+    );
+    eps.queue_word(NodeId(0), 0, chan(1, 3), 0xCAFE_F00D);
+    eps.queue_token(NodeId(0), 0, chan(1, 3), Token::Ctrl(ControlToken::END));
+    (fabric, eps)
+}
+
+/// Every change of a receive archive, stamped with the step instant.
+fn note_arrivals(eps: &TestEndpoints, now: Time, seen: &mut [usize], log: &mut Vec<(Time, usize)>) {
+    let lens = eps.inbox.iter().flatten().map(Vec::len);
+    for (i, len) in lens.enumerate() {
+        if len != seen[i] {
+            seen[i] = len;
+            log.push((now, i));
+        }
+    }
+}
+
+/// The fabric's own next instant plus every pending output head's
+/// launch-ready instant: what the machine's quiet path jumps to.
+fn next_instant(fabric: &Fabric, eps: &TestEndpoints, now: Time) -> Option<Time> {
+    let mut next = fabric.next_event_at(now);
+    for node in 0..eps.out.len() {
+        let node = NodeId(node as u16);
+        eps.for_each_tx_pending(node, &mut |chanend| {
+            let (dest, _) = eps.tx_front(node, chanend).expect("pending");
+            let at = fabric.injection_ready_at(now, node, chanend, dest);
+            next = Some(next.map_or(at, |n: Time| n.min(at)));
+        });
+    }
+    next
+}
+
+#[test]
+fn stepping_only_at_horizons_matches_stepping_every_instant() {
+    for (name, scenario) in [
+        (
+            "contended line",
+            contended_line as fn() -> (Fabric, TestEndpoints),
+        ),
+        ("lone retry", lone_retry),
+    ] {
+        assert_horizon_stepping_exact(name, scenario);
+    }
+}
+
+/// Steps `scenario` at every 2 ns instant and, separately, only at the
+/// instants [`next_instant`] names; both must deliver the same tokens at
+/// the same instants and end with the same link statistics, and the
+/// sparse run must step far fewer instants.
+fn assert_horizon_stepping_exact(name: &str, scenario: fn() -> (Fabric, TestEndpoints)) {
+    let step = TimeDelta::from_ns(2);
+    let end = Time::ZERO + TimeDelta::from_us(20);
+    let slots = 4 * TEST_CHANENDS;
+
+    let (mut dense, mut dense_eps) = scenario();
+    let (mut dense_log, mut seen) = (Vec::new(), vec![0; slots]);
+    let mut now = Time::ZERO;
+    let mut dense_steps = 0;
+    while now < end {
+        now += step;
+        dense.step(now, &mut dense_eps);
+        note_arrivals(&dense_eps, now, &mut seen, &mut dense_log);
+        dense_steps += 1;
+    }
+
+    let (mut sparse, mut sparse_eps) = scenario();
+    let (mut sparse_log, mut seen) = (Vec::new(), vec![0; slots]);
+    let mut now = Time::ZERO;
+    let mut sparse_steps = 0;
+    while let Some(at) = next_instant(&sparse, &sparse_eps, now) {
+        let at = at.align_up_to(Time::ZERO, step).max(now + step);
+        if at > end {
+            break;
+        }
+        now = at;
+        sparse.step(now, &mut sparse_eps);
+        note_arrivals(&sparse_eps, now, &mut seen, &mut sparse_log);
+        sparse_steps += 1;
+    }
+
+    assert!(
+        dense.is_idle() && sparse.is_idle(),
+        "{name}: everything delivered"
+    );
+    assert_eq!(dense.unroutable_tokens(), 0, "{name}");
+    assert!(
+        dense.total_retransmits() > 0,
+        "{name}: the corrupt window was hit"
+    );
+    assert_eq!(
+        sparse_log, dense_log,
+        "{name}: deliveries at different instants"
+    );
+    assert_eq!(sparse_eps.inbox, dense_eps.inbox, "{name}");
+    let stats = |f: &Fabric| f.link_stats().collect::<Vec<_>>();
+    assert_eq!(
+        stats(&sparse),
+        stats(&dense),
+        "{name}: link statistics differ"
+    );
+    assert!(
+        sparse_steps * 4 < dense_steps,
+        "{name}: {sparse_steps} of {dense_steps} instants stepped"
+    );
 }

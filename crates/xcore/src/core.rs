@@ -602,11 +602,11 @@ impl Core {
     }
 
     /// The next instant at which ticking this core can do anything beyond
-    /// charging idle energy: the next clock edge while any thread is
-    /// ready, else the first clock edge at or after the earliest
-    /// timer/divider/event wake. `None` when the core is halted or every
-    /// live thread is blocked on external input — then only the network
-    /// (or nothing) can make it interesting again.
+    /// charging idle energy: the next clock edge whose issue slot holds a
+    /// ready thread, or the first clock edge at or after the earliest
+    /// timer/divider/event wake, whichever comes first. `None` when the
+    /// core is halted or every live thread is blocked on external input —
+    /// then only the network (or nothing) can make it interesting again.
     ///
     /// This is the core half of the fast-forward contract: skipping all
     /// clock edges strictly before the returned instant is
@@ -615,17 +615,49 @@ impl Core {
         if self.halted {
             return None;
         }
-        if !self.rotation.is_empty() {
-            return Some(self.next_tick_at());
+        // No sleeper (the common case, and this runs once per core per
+        // negotiation round) or an issue on the very next edge: no wake
+        // can come earlier.
+        let issue = self.next_issue_at();
+        if self.sleepers == 0 {
+            return issue;
         }
-        let wake = self.next_wake()?;
         let next = self.next_tick_at();
-        if wake <= next {
-            return Some(next);
+        if issue == Some(next) {
+            return issue;
         }
+        let Some(wake) = self.next_wake() else {
+            return issue;
+        };
         // First clock edge at or after the wake instant; stays on this
         // core's tick grid so fast-forward matches lock-step exactly.
-        Some(wake.align_up_to(self.now, self.period))
+        let wake = if wake <= next {
+            next
+        } else {
+            wake.align_up_to(self.now, self.period)
+        };
+        Some(issue.map_or(wake, |at| at.min(wake)))
+    }
+
+    /// The first clock edge whose issue slot holds a ready thread (Eq. 2):
+    /// the next edge when four or more threads fill the rotation, else
+    /// the next edge whose slot `wheel & 3` is below the rotation length —
+    /// the rotation is padded to four slots, so one to three ready threads
+    /// issue on that many edges in four. `None` with no ready thread.
+    #[inline]
+    fn next_issue_at(&self) -> Option<Time> {
+        let len = self.rotation.len() as u64;
+        if len >= 4 {
+            return Some(self.next_tick_at());
+        }
+        if len == 0 {
+            return None;
+        }
+        // The next edge issues from slot `wheel & 3`; slot 0 is always
+        // occupied, so an empty slot waits for the wheel to wrap.
+        let slot = self.wheel & 3;
+        let empty = if slot < len { 0 } else { 4 - slot };
+        Some(self.now + self.period.saturating_mul(empty + 1))
     }
 
     /// This core's negotiation watermark: [`Core::next_interesting_at`]
@@ -643,18 +675,27 @@ impl Core {
 
     /// Fast-forwards over clock edges that provably do nothing: advances
     /// `now`/`cycle`/the issue wheel over every edge strictly before
-    /// `limit` (capped at the earliest wake instant). No-op unless the
-    /// core is idle (no ready thread).
+    /// `limit`, capped at the earliest wake instant and at the next edge
+    /// whose issue slot holds a ready thread. A core with no ready thread
+    /// skips its idle span; one with one to three ready threads skips the
+    /// empty slots of its four-slot rotation; a full rotation skips
+    /// nothing.
     ///
     /// The wheel and cycle counters advance exactly as `tick` would have
     /// advanced them, so thread scheduling after the skip is bit-identical
     /// to the lock-step engine — and since edge energy is priced from the
     /// cycle count (see [`Core::ledger`]), so is the ledger.
     pub fn skip_idle_until(&mut self, limit: Time) {
-        if self.halted || !self.rotation.is_empty() {
+        if self.halted {
             return;
         }
         let mut stop = limit;
+        if let Some(issue) = self.next_issue_at() {
+            stop = stop.min(issue);
+        }
+        if stop <= self.next_tick_at() {
+            return;
+        }
         if let Some(wake) = self.next_wake() {
             stop = stop.min(wake);
         }

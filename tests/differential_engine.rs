@@ -2,10 +2,10 @@
 //! identical to the cycle-by-cycle lock-step reference.
 //!
 //! Both engines process exactly the same grid-aligned instants at which
-//! anything can happen (core ticks, wake-ups, fabric hops, bridge pacing,
-//! monitor updates); the parallel engine merely skips the provably idle
-//! instants in between and batches independent spans into windows on
-//! host threads. These tests pin that equivalence down for
+//! anything can happen (occupied issue slots, wake-ups, fabric hops and
+//! link launches, bridge pacing, monitor updates); the parallel engine
+//! merely skips the instants in between, on which nothing can move, and
+//! batches independent spans into windows on host threads. These tests pin that equivalence down for
 //! representative workloads: identical retired instruction counts,
 //! identical final simulated time, identical program outputs, and
 //! machine energy ledgers equal to within floating-point association
@@ -16,6 +16,8 @@
 //! monitor's conversion-loss integration), which group their terms
 //! differently. The parallel engine is additionally required to be
 //! *bit-identical* across repeated runs at every tested thread count.
+//! Serving through the Ethernet bridge is compared on the fleet driver's
+//! completion log too: every reply's tag, payload and arrival instant.
 //!
 //! Set `SWALLOW_ENGINE` (`lockstep` | `parallel`, with `SWALLOW_THREADS`
 //! for the latter) to pin the suite to one engine — the CI matrix uses
@@ -24,9 +26,13 @@
 mod common;
 
 use swallow_repro::swallow::energy::NodeCategory;
+use swallow_repro::swallow::sim::DetRng;
 use swallow_repro::swallow::{
-    Assembler, EngineMode, NodeId, RouterKind, SwallowSystem, SystemBuilder, TimeDelta,
+    Assembler, EngineMode, FaultPlan, NodeId, RouterKind, SwallowSystem, SystemBuilder, Time,
+    TimeDelta, TraceLog,
 };
+use swallow_repro::swallow_fleet::{drive, generate_arrivals, ArrivalKind};
+use swallow_repro::swallow_workloads::serve::{self, ServeSpec};
 use swallow_repro::swallow_workloads::{client_server, farm, pipeline};
 use swallow_testkit::proptest::prelude::*;
 
@@ -307,6 +313,138 @@ fn core_ledgers_are_bit_identical_across_engines() {
         load_long_timers(system);
         assert!(system.run_until_quiescent(TimeDelta::from_ms(10)));
     });
+}
+
+/// What a served run is compared on: the fleet driver's fingerprint,
+/// every core's ledger bits, every completion's
+/// `(tag, reply, completed_at)`, the link retransmits and the merged
+/// trace — every link launch, token receipt and thread schedule at its
+/// instant, which shows a launch a single edge late even where the
+/// replies absorb it.
+#[derive(Debug, PartialEq)]
+struct ServeRun {
+    fingerprint: swallow_fleet::Fingerprint,
+    ledgers: Vec<[u64; 5]>,
+    replies: Vec<(u32, u32, Time)>,
+    retransmits: u64,
+    trace: TraceLog,
+}
+
+/// Serves 60 Poisson requests at `rate_rps` through the bridge under
+/// lock-step and every engine under test, and requires every engine's
+/// [`ServeRun`] to equal lock-step's. Bridge pacing, reply tokens queued
+/// behind the bridge-facing link and workers issuing on one slot in four
+/// all take part. Returns lock-step's run.
+fn assert_serve_identical(rate_rps: f64, faults: impl Fn(&SwallowSystem) -> FaultPlan) -> ServeRun {
+    let spec = ServeSpec {
+        workers: 4,
+        max_requests: 60,
+        work: 4,
+    };
+    let arrivals = generate_arrivals(
+        ArrivalKind::Poisson,
+        rate_rps,
+        spec.max_requests,
+        0,
+        &mut DetRng::seed_from(42),
+    );
+    let run = |engine: EngineMode| {
+        let build = |plan: FaultPlan| {
+            SystemBuilder::new()
+                .engine(engine)
+                .bridge()
+                .tracing_capacity(1 << 16)
+                .faults(plan)
+                .build()
+                .expect("builds")
+        };
+        let plan = faults(&build(FaultPlan::new()));
+        let mut system = build(plan);
+        serve::generate(&spec, system.machine().spec())
+            .expect("generates")
+            .apply(&mut system)
+            .expect("loads");
+        let outcome = drive(&mut system, &arrivals, spec.work, TimeDelta::from_us(300));
+        assert_eq!(
+            outcome.wrong, 0,
+            "{engine:?}: every reply matches the oracle"
+        );
+        let machine = system.machine();
+        ServeRun {
+            fingerprint: outcome.fingerprint,
+            ledgers: machine
+                .nodes()
+                .map(|n| machine.core(n).ledger().entry_bits())
+                .collect(),
+            replies: outcome
+                .completions
+                .iter()
+                .map(|c| (c.tag, c.reply, c.completed_at))
+                .collect(),
+            retransmits: machine.fault_counters().retransmits,
+            trace: system.trace_log(),
+        }
+    };
+    let ls = run(EngineMode::LockStep);
+    assert_eq!(
+        ls.replies.len(),
+        spec.max_requests as usize,
+        "every request served"
+    );
+    for engine in common::engines_under_test(&[1, 2, 4]) {
+        let got = run(engine);
+        let differing: Vec<usize> = (0..ls.ledgers.len())
+            .filter(|&i| got.ledgers[i] != ls.ledgers[i])
+            .collect();
+        assert!(
+            differing.is_empty(),
+            "{rate_rps} rps, {engine:?}: core ledgers differ on cores {differing:?}"
+        );
+        if let Some(i) = (0..ls.trace.records.len())
+            .find(|&i| got.trace.records.get(i) != ls.trace.records.get(i))
+        {
+            panic!(
+                "{rate_rps} rps, {engine:?}: trace record {i} differs: {:?} vs lock-step {:?}",
+                got.trace.records.get(i),
+                ls.trace.records[i]
+            );
+        }
+        assert_eq!(got, ls, "{rate_rps} rps, {engine:?}: served runs differ");
+    }
+    ls
+}
+
+#[test]
+fn bridge_serve_runs_identically_under_both_engines() {
+    let fault_free = |_: &SwallowSystem| FaultPlan::new();
+    assert_serve_identical(100_000.0, fault_free);
+    assert_serve_identical(3_000_000.0, fault_free);
+    // Corrupt windows on the link into the bridge and on every link out
+    // of a worker while replies stream out. A failed attempt leaves
+    // nothing on the wire, so only its `busy_until` says when the queued
+    // reply token or the worker's own output may try again — exactly the
+    // instant the quiet path jumps to. Short enough (fewer than
+    // `MAX_LINK_RETRIES` token times) that every link survives.
+    let corrupt = assert_serve_identical(3_000_000.0, |system| {
+        let machine = system.machine();
+        let bridge = machine.bridge().expect("fitted").node();
+        let workers = 1..=4;
+        machine
+            .link_descs()
+            .iter()
+            .filter(|d| d.to == bridge || workers.contains(&d.from.0))
+            .fold(FaultPlan::new(), |plan, d| {
+                plan.corrupt_window(
+                    Time::ZERO + TimeDelta::from_ns(11_000),
+                    d.id,
+                    TimeDelta::from_ns(300),
+                )
+            })
+    });
+    assert!(
+        corrupt.retransmits > 0,
+        "the corrupt window must hit reply traffic"
+    );
 }
 
 #[test]
